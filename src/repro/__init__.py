@@ -5,8 +5,8 @@ DATE 2003).
 The package rebuilds the paper's whole prototyping stack in Python:
 
 ================  ===========================================================
-``repro.des``     discrete-event kernel (the NS-2 substitute): scheduler
-                  queues, generator processes, resources, RNG streams,
+``repro.des``     discrete-event kernel (the NS-2 substitute): heap event
+                  queue, generator processes, resources, RNG streams,
                   tracing, monitors, real-time mode
 ``repro.net``     NS-2-style nodes/links/agents and traffic generators (CBR,
                   exponential on/off, Poisson, trace-driven)

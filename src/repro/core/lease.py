@@ -42,6 +42,7 @@ class Lease:
         self.clock = clock
         self.granted_at = clock.now()
         self.expires_at = self.granted_at + duration
+        self._term = duration
         self.max_duration = max_duration
         self._on_cancel = on_cancel
         self._on_renew = on_renew
@@ -49,7 +50,12 @@ class Lease:
 
     @property
     def duration(self) -> float:
-        return self.expires_at - self.granted_at
+        """The granted term, exactly as granted.
+
+        Not ``expires_at - granted_at``: that difference rounds, and is
+        one ulp off whenever ``granted_at + term`` crosses a power of two.
+        """
+        return self._term
 
     def remaining(self) -> float:
         """Seconds left (0 when expired or cancelled)."""
@@ -76,6 +82,7 @@ class Lease:
         granted = min(duration, self.max_duration)
         self.granted_at = self.clock.now()
         self.expires_at = self.granted_at + granted
+        self._term = granted
         if self._on_renew is not None:
             self._on_renew(self)
         return granted

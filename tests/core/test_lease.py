@@ -58,6 +58,16 @@ class TestLease:
         assert lease.duration == pytest.approx(20.0)
         assert lease.granted_at == pytest.approx(5.0)
 
+    def test_duration_is_the_granted_term_exactly(self, clock):
+        """Regression: ``duration`` was ``expires_at - granted_at``, one
+        ulp off when ``granted_at + term`` crosses a power of two (here
+        0.1 + 0.3 rounds so the difference is 0.30000000000000004)."""
+        clock.advance(0.1)
+        lease = Lease(clock, 0.3)
+        assert lease.duration == 0.3
+        lease.renew(0.3)
+        assert lease.duration == 0.3
+
     def test_renew_clamped_to_grant_cap(self, clock):
         """Regression: renewals ignored the ``max_lease`` policy the
         original grant enforced, so a client could renew past the cap."""

@@ -54,6 +54,16 @@ class TestWrite:
         assert reply.param_float("granted") == 60.0
         assert len(space) == 1
 
+    def test_write_ack_grants_the_requested_lease_exactly(self, setup):
+        """Regression: ``granted`` was ``expires_at - granted_at`` and
+        came back one ulp high when ``now + lease`` crossed a power of
+        two (0.1 + 0.3 here)."""
+        clock, _space, server, session = setup
+        clock.advance(0.1)
+        server.handle(session, Message(MessageType.WRITE, 1, {"lease": 0.3}, t("a")))
+        assert session.last.msg_type is MessageType.WRITE_ACK
+        assert session.last.param_float("granted") == 0.3
+
     def test_write_without_entry_errors(self, setup):
         _clock, _space, server, session = setup
         server.handle(session, Message(MessageType.WRITE, 1))

@@ -91,27 +91,11 @@ class TestCaseStudyScenario:
         result = CaseStudyScenario(CaseStudyConfig()).run()
         assert result.cell().endswith("s")
 
+    def test_run_twice_is_deterministic(self):
+        first = CaseStudyScenario(CaseStudyConfig()).run()
+        second = CaseStudyScenario(CaseStudyConfig()).run()
+        assert first == second
+
     def test_unfinished_run_raises(self):
         with pytest.raises(RuntimeError):
             CaseStudyScenario(CaseStudyConfig()).run(max_sim_time=1.0)
-
-
-class TestSchedulerKnob:
-    """The pending-event-queue choice must be invisible in results."""
-
-    def test_validation_scenario_identical_under_wheel(self):
-        heap = ValidationScenario(cbr_rate=8.0).run(10)
-        wheel = ValidationScenario(cbr_rate=8.0, scheduler="wheel").run(10)
-        assert wheel == heap
-
-    def test_case_study_run_twice_under_wheel_is_deterministic(self):
-        first = CaseStudyScenario(CaseStudyConfig(scheduler="wheel")).run()
-        second = CaseStudyScenario(CaseStudyConfig(scheduler="wheel")).run()
-        assert first == second
-
-    def test_case_study_wheel_matches_heap(self):
-        # Table 4's 1-wire baseline cell, measured under both queues:
-        # identical firing order means identical timings, to the bit.
-        heap = CaseStudyScenario(CaseStudyConfig()).run()
-        wheel = CaseStudyScenario(CaseStudyConfig(scheduler="wheel")).run()
-        assert wheel == heap

@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.des import CalendarQueueScheduler, Simulator, TimingWheelScheduler
+from repro.des import Simulator
 from repro.des.errors import SchedulerError
 
 
-@pytest.fixture(params=["heap", "calendar", "wheel"])
-def sim(request):
-    if request.param == "calendar":
-        return Simulator(scheduler=CalendarQueueScheduler())
-    if request.param == "wheel":
-        return Simulator(scheduler=TimingWheelScheduler())
+@pytest.fixture
+def sim():
     return Simulator()
 
 
@@ -79,6 +75,56 @@ class TestScheduling:
         sim.after(1.0, log.append, "urgent", priority=-1)
         sim.run()
         assert log == ["urgent", "normal"]
+
+    def test_cancel_then_reschedule_same_time(self, sim):
+        log = []
+        stale = sim.after(2.0, log.append, "stale")
+        assert sim.cancel(stale) is True
+        sim.after(2.0, log.append, "fresh")
+        assert sim.pending_events == 1
+        sim.run()
+        assert log == ["fresh"]
+        assert sim.pending_events == 0
+
+
+class TestZeroDelayChains:
+    def test_chain_runs_in_schedule_order(self, sim):
+        # chain(0) fires first (lower seq), then the already-queued peer,
+        # then each zero-delay link in the order it was scheduled.
+        log = []
+
+        def chain(n):
+            log.append(n)
+            if n < 5:
+                sim.after(0.0, chain, n + 1)
+
+        sim.after(1.0, chain, 0)
+        sim.after(1.0, log.append, "peer")
+        sim.run()
+        assert log == [0, "peer", 1, 2, 3, 4, 5]
+        assert sim.now == 1.0
+
+    def test_priority_wins_within_the_draining_timestamp(self, sim):
+        log = []
+
+        def first():
+            log.append("first")
+            sim.after(0.0, log.append, "normal")
+            sim.after(0.0, log.append, "urgent", priority=-1)
+
+        sim.after(1.0, first)
+        sim.run()
+        assert log == ["first", "urgent", "normal"]
+
+
+def test_firing_order_under_load_is_time_then_schedule_order(sim):
+    rng = sim.stream("firing-order-under-load")
+    times = [rng.uniform(0.0, 50.0) for _ in range(3000)]
+    fired = []
+    for i, t in enumerate(times):
+        sim.at(t, fired.append, i)
+    sim.run()
+    assert fired == sorted(range(len(times)), key=lambda i: (times[i], i))
 
 
 class TestRunLoop:
