@@ -1,7 +1,9 @@
 """Core-engine throughput: the perf baseline every DES change answers to.
 
-Raw events/second of the simulator's heap queue plus end-to-end
-frames/second of the packet-level TpWIRE model on the Figure 6 topology.
+Raw events/second of the simulator's heap queue, end-to-end
+frames/second of the packet-level TpWIRE model on the Figure 6 topology,
+and frames/second of the bit-level reference (``repro.hw``) over the
+Table 3 suite of 5, 15 and 30 packets.
 The numbers land in ``benchmarks/results/BENCH_core_engine.json``; CI
 re-measures a fast variant of the same workloads
 (``python -m benchmarks.engine_smoke``) and fails if throughput regresses
@@ -10,8 +12,11 @@ explains the fast path these numbers track and how to read the artefact.
 """
 
 from benchmarks.engine_workloads import (
+    BIT_LEVEL_PACKETS,
     FULL_EVENTS,
     FULL_PACKETS,
+    bit_level_suite_throughput,
+    bit_level_throughput,
     bus_frames_throughput,
     bus_throughput,
     scheduler_churn,
@@ -35,14 +40,22 @@ def test_bus_frame_throughput(benchmark):
     assert frames > 0
 
 
+def test_bit_level_suite_throughput(benchmark):
+    frames, _ = benchmark.pedantic(
+        bit_level_suite_throughput, rounds=3, iterations=1
+    )
+    assert frames > 0
+
+
 def test_core_engine_baseline_artifact(report, bench_json):
-    """Measure both workloads and commit them as the engine baseline
+    """Measure the three workloads and commit them as the engine baseline
     artefact (the numbers the CI smoke gate compares against)."""
     # Best-of-5 (vs the default 3) for the committed artefact: each run
     # is a sub-second window on shared hardware, and the extra samples
     # make the best a stable estimate of unloaded capability.
     churn = scheduler_throughput(FULL_EVENTS, repeats=5)
     bus = bus_throughput(FULL_PACKETS, repeats=5)
+    bit_level = bit_level_throughput(repeats=5)
     churn_row = {
         "workload": "scheduler-churn",
         "events": FULL_EVENTS,
@@ -59,6 +72,14 @@ def test_core_engine_baseline_artifact(report, bench_json):
         "stdev_frames_per_second": round(bus["stdev"]),
         "runs": bus["runs"],
     }
+    bit_level_row = {
+        "workload": "table3-bit-level",
+        "packets": list(BIT_LEVEL_PACKETS),
+        "frames_per_second": round(bit_level["best"]),
+        "mean_frames_per_second": round(bit_level["mean"]),
+        "stdev_frames_per_second": round(bit_level["stdev"]),
+        "runs": bit_level["runs"],
+    }
     derived = {
         "bus_frames_per_second": bus_row["frames_per_second"],
         "bus_packets": FULL_PACKETS,
@@ -72,11 +93,18 @@ def test_core_engine_baseline_artifact(report, bench_json):
             f"  fig-6 {bus_row['frames_per_second']:>11,d} frames/s "
             f"(±{bus_row['stdev_frames_per_second']:,d}, "
             f"{FULL_PACKETS} packets)",
+            f"  bit   {bit_level_row['frames_per_second']:>11,d} frames/s "
+            f"(±{bit_level_row['stdev_frames_per_second']:,d}, "
+            f"bit-level Table 3 suite, "
+            f"{'/'.join(map(str, BIT_LEVEL_PACKETS))} packets)",
         ]),
     )
-    bench_json("core_engine", rows=[churn_row, bus_row], derived=derived)
+    bench_json(
+        "core_engine", rows=[churn_row, bus_row, bit_level_row], derived=derived
+    )
     # Sanity floors: the committed artefact sits well above these, so
     # tripping one means the fast path broke outright rather than the
     # runner being slow.
     assert churn_row["events_per_second"] > 200_000
     assert bus_row["frames_per_second"] > 20_000
+    assert bit_level_row["frames_per_second"] > 1_000

@@ -1,7 +1,8 @@
 """CI smoke gate: fail when engine throughput regresses.
 
 Re-measures the core-engine workloads (fast variants by default) — raw
-scheduler churn and the Figure 6 bus model — and compares them against
+scheduler churn, the Figure 6 bus model and the bit-level Table 3 suite
+on the delta-cycle kernel — and compares them against
 the committed ``benchmarks/results/BENCH_core_engine.json`` baseline.  A
 measurement more than ``--tolerance`` (default 30 %) below the baseline
 fails the run — the knob exists because absolute throughput varies
@@ -24,6 +25,7 @@ from benchmarks.engine_workloads import (
     FAST_PACKETS,
     FULL_EVENTS,
     FULL_PACKETS,
+    bit_level_throughput,
     bus_throughput,
     scheduler_throughput,
 )
@@ -83,6 +85,11 @@ def main(argv=None) -> int:
         "figure-6 bus",
         bus_throughput(n_packets)["best"],
         baseline["figure-6-bus"]["frames_per_second"],
+    )
+    gate(
+        "table-3 bit-level",
+        bit_level_throughput()["best"],
+        baseline["table3-bit-level"]["frames_per_second"],
     )
     return 1 if failed else 0
 

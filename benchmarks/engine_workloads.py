@@ -11,6 +11,10 @@ gate), so both measure exactly the same thing:
   TpWIRE model on the Figure 6 validation topology (master + CBR slave +
   receiver slave), i.e. the whole hot path: scheduler, events, timing
   tables, bus state machine, master transaction engine.
+* ``bit_level_suite_throughput`` — frames/second of the bit-level Figure 6
+  reference (``repro.hw``: delta-cycle kernel plus bit-serial PHY) over
+  the Table 3 suite of 5, 15 and 30 packets, the same fixed suite in the
+  full and the fast variant.
 
 Measurements discard one warmup run, then report best-of-``repeats``
 plus per-run spread (see :func:`throughput_stats`) so the committed
@@ -30,6 +34,8 @@ FULL_EVENTS = 150_000
 FAST_EVENTS = 40_000
 FULL_PACKETS = 600
 FAST_PACKETS = 60
+#: Packet counts of the bit-level Table 3 suite.
+BIT_LEVEL_PACKETS = (5, 15, 30)
 
 
 def scheduler_churn(n_events: int) -> tuple[int, float]:
@@ -70,6 +76,21 @@ def bus_frames_throughput(n_packets: int) -> tuple[int, float]:
     return result.total_frames, seconds
 
 
+def bit_level_suite_throughput() -> tuple[int, float]:
+    """Run the bit-level Figure 6 scenario at each of
+    :data:`BIT_LEVEL_PACKETS`; returns ``(frames_exchanged, wall_seconds)``
+    summed over the suite (scenario construction not timed)."""
+    frames = 0
+    seconds = 0.0
+    for n_packets in BIT_LEVEL_PACKETS:
+        scenario = ValidationScenario(bit_level=True)
+        started = time.perf_counter()
+        result = scenario.run(n_packets)
+        seconds += time.perf_counter() - started
+        frames += result.total_frames
+    return frames, seconds
+
+
 def throughput_stats(run, repeats: int = 3) -> dict:
     """Warmed best-of-``repeats`` with spread: ``run()`` returns
     ``(units, wall_seconds)``; the first (warmup) run is discarded."""
@@ -94,3 +115,8 @@ def scheduler_throughput(n_events: int, repeats: int = 3) -> dict:
 def bus_throughput(n_packets: int, repeats: int = 3) -> dict:
     """End-to-end frames/second statistics of the Figure 6 model."""
     return throughput_stats(lambda: bus_frames_throughput(n_packets), repeats)
+
+
+def bit_level_throughput(repeats: int = 3) -> dict:
+    """Frames/second statistics of the bit-level Table 3 suite."""
+    return throughput_stats(bit_level_suite_throughput, repeats)

@@ -36,6 +36,7 @@ class MethodProcess:
         self.kernel = kernel
         self.fn = fn
         self.name = name
+        self._queued = False  # in the kernel's runnable list
 
     def run(self) -> None:
         self.fn()
@@ -52,6 +53,7 @@ class ThreadProcess:
         self.name = name
         self._generator = fn()
         self.finished = False
+        self._queued = False  # in the kernel's runnable list
 
     def run(self) -> None:
         if self.finished:

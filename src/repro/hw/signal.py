@@ -39,6 +39,7 @@ class Signal:
         """Schedule ``value`` to commit in the next update phase."""
         self._pending = value
         if not self._has_pending:
+            # The only dedup of the kernel's update queue.
             self._has_pending = True
             self.kernel.request_update(self)
 

@@ -121,21 +121,33 @@ class SlavePhy(HwModule):
     def _downstream(self):
         bp = self.timing.bit_period
         hop = self.timing.hop_delay_bits * bp
-        sim = self.kernel.sim
+        kernel = self.kernel
+        sim = kernel.sim
+        read = self.down_in.read
+        write = self.down_out.write
+        write_up = self.up_out.write
+        # Wait conditions are stateless, so each thread yields the same
+        # few objects instead of allocating one per bit.
+        start_edge = wait_negedge(self.down_in)
+        half_bit = wait_time(0.5 * bp)
+        one_bit = wait_time(bp)
+        turnaround = wait_time(self.timing.turnaround_bits * bp)
+        repeat_delay = hop - 0.5 * bp
+        idle_delay = hop + 0.5 * bp
         while True:
-            yield wait_negedge(self.down_in)
+            yield start_edge
             # Start-bit edge: sample each bit slot at its midpoint and
             # forward it so it appears on down_out hop_delay after its
             # slot boundary.
             bits = []
-            yield wait_time(0.5 * bp)
+            yield half_bit
             for index in range(FRAME_BITS):
-                bit = self.down_in.read()
+                bit = read()
                 bits.append(bit)
-                sim.call_after(hop - 0.5 * bp, self.down_out.write, bit)
+                kernel.call_after(repeat_delay, write, bit)
                 if index < FRAME_BITS - 1:
-                    yield wait_time(bp)
-            sim.call_after(hop + 0.5 * bp, self.down_out.write, IDLE)
+                    yield one_bit
+            kernel.call_after(idle_delay, write, IDLE)
             self.frames_seen += 1
             try:
                 frame = TxFrame.from_bits(bits)
@@ -148,35 +160,38 @@ class SlavePhy(HwModule):
             if reply is None:
                 continue
             self.frames_executed += 1
-            yield wait_time(self.timing.turnaround_bits * bp)
-            yield from self._drive_up(reply.to_bits())
-
-    def _drive_up(self, bits):
-        bp = self.timing.bit_period
-        for bit in bits:
-            self.up_out.write(bit)
-            yield wait_time(bp)
-        self.up_out.write(IDLE)
+            yield turnaround
+            for bit in reply.to_bits():
+                write_up(bit)
+                yield one_bit
+            write_up(IDLE)
 
     # -- upstream: repeat replies from deeper slaves, inject INT ----------------
 
     def _upstream(self):
         bp = self.timing.bit_period
         hop = self.timing.hop_delay_bits * bp
-        sim = self.kernel.sim
+        kernel = self.kernel
+        read = self.up_in.read
+        write = self.up_out.write
+        start_edge = wait_negedge(self.up_in)
+        half_bit = wait_time(0.5 * bp)
+        one_bit = wait_time(bp)
+        repeat_delay = hop - 0.5 * bp
+        idle_delay = hop + 0.5 * bp
         while True:
-            yield wait_negedge(self.up_in)
-            yield wait_time(0.5 * bp)
+            yield start_edge
+            yield half_bit
             for index in range(FRAME_BITS):
-                bit = self.up_in.read()
+                bit = read()
                 if index == 1 and self.protocol.interrupt_pending:
                     # Sec. 3.1: the INT bit is set as the RX frame passes
                     # through a slave with a pending interrupt.
                     bit = 1
-                sim.call_after(hop - 0.5 * bp, self.up_out.write, bit)
+                kernel.call_after(repeat_delay, write, bit)
                 if index < FRAME_BITS - 1:
-                    yield wait_time(bp)
-            sim.call_after(hop + 0.5 * bp, self.up_out.write, IDLE)
+                    yield one_bit
+            kernel.call_after(idle_delay, write, IDLE)
 
 
 class MasterPhy(HwModule):
@@ -217,10 +232,12 @@ class MasterPhy(HwModule):
 
     def _run(self):
         bp = self.timing.bit_period
-        sim = self.kernel.sim
+        write = self.down_out.write
+        kicked = wait_change(self._kick)
+        one_bit = wait_time(bp)
         while True:
             if not self._queue:
-                yield wait_change(self._kick)
+                yield kicked
                 continue
             frame, expect_reply, done = self._queue.popleft()
             # Master firmware overhead before each cycle (with jitter).
@@ -230,9 +247,9 @@ class MasterPhy(HwModule):
             yield wait_time((self.timing.fw_overhead_bits + jitter) * bp)
             self.tx_frames += 1
             for bit in frame.to_bits():
-                self.down_out.write(bit)
-                yield wait_time(bp)
-            self.down_out.write(IDLE)
+                write(bit)
+                yield one_bit
+            write(IDLE)
             if not expect_reply:
                 # Broadcast: let the frame flush through the chain.
                 tail = self.timing.hop_delay_bits * self.chain_length
@@ -245,21 +262,24 @@ class MasterPhy(HwModule):
     def _receive(self):
         bp = self.timing.bit_period
         sim = self.kernel.sim
+        read = self.up_in.read
         deadline = sim.now + self.timing.response_timeout(self.chain_length)
         # Poll for the start bit at half-bit granularity (quantisation
         # that the packet-level model does not have).
-        while self.up_in.read() == IDLE:
+        poll = wait_time(self.timing.poll_bits * bp)
+        one_bit = wait_time(bp)
+        while read() == IDLE:
             if sim.now >= deadline:
                 self.timeouts += 1
                 return CycleResult(CycleStatus.TIMEOUT)
-            yield wait_time(self.timing.poll_bits * bp)
+            yield poll
         # Offset sampling a quarter bit so samples never coincide with a
         # bit boundary (detection lags the edge by < poll_bits).
         yield wait_time(0.25 * bp)
         bits = [0]
         for _ in range(FRAME_BITS - 1):
-            yield wait_time(bp)
-            bits.append(self.up_in.read())
+            yield one_bit
+            bits.append(read())
         try:
             rx = RxFrame.from_bits(bits)
         except FrameError:
@@ -355,8 +375,9 @@ class BitLevelTpwireBus:
     def execute_cb(self, frame: TxFrame, expect_reply: bool, on_result) -> None:
         """Callback-style :meth:`execute` (packet-level bus protocol).
 
-        The bit-level bus is not throughput-critical, so it adapts the
-        waitable form instead of duplicating the submit path."""
+        Adapts the waitable form instead of duplicating the submit path:
+        one ``Waitable`` per cycle is noise next to the ~70 delta steps a
+        bit-level frame takes."""
         self.execute(frame, expect_reply).add_callback(
             lambda done: on_result(done.value)
         )

@@ -2,9 +2,10 @@
 
 Popping or inserting at the head of a Python list shifts every remaining
 element, turning a FIFO into an O(n) structure.  The simulator core
-(``repro.des``), the bus model (``repro.tpwire``) and the network layer
-(``repro.net``) run these operations once per event or frame, so the cost
-scales with the whole run — exactly the churn Brown's calendar-queue
+(``repro.des``), the bus model (``repro.tpwire``), the network layer
+(``repro.net``) and the delta-cycle kernel with its bit-level PHY
+(``repro.hw``) run these operations once per event, frame or bit, so the
+cost scales with the whole run — exactly the churn Brown's calendar-queue
 design (and this repo's DES hot-path work) exists to avoid.  Use
 ``collections.deque`` with ``popleft()`` / ``appendleft()`` instead.
 
@@ -24,7 +25,7 @@ from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 #: Dotted prefixes of the event/frame hot-path layers.
-DEFAULT_HOT_LAYERS = ("repro.des", "repro.tpwire", "repro.net")
+DEFAULT_HOT_LAYERS = ("repro.des", "repro.tpwire", "repro.net", "repro.hw")
 
 
 def _is_zero_literal(node: ast.AST) -> bool:

@@ -1,8 +1,10 @@
 """Rule ``perf-sched-alloc`` — no per-event closures/containers at
 scheduling call sites.
 
-The simulator core schedules millions of events per run, and the entry
-protocol (``sim.call_after(delay, fn, *args)`` / ``sim.after`` /
+The simulator core schedules millions of events per run — the bus model
+(``repro.tpwire``) one per frame phase, the delta-cycle kernel and the
+bit-level PHY (``repro.hw``) one per wake-up and repeated bit — and the
+entry protocol (``sim.call_after(delay, fn, *args)`` / ``sim.after`` /
 ``sim.at``) exists precisely so callers hand over the function and its
 arguments without wrapping them.  A ``lambda`` at a scheduling call site
 allocates a closure per event; a tuple/list literal argument allocates a
@@ -30,7 +32,7 @@ from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 #: Dotted prefixes of the event-scheduling hot-path layers.
-DEFAULT_HOT_LAYERS = ("repro.des", "repro.tpwire")
+DEFAULT_HOT_LAYERS = ("repro.des", "repro.tpwire", "repro.hw")
 
 #: Scheduling entry points of the simulator/scheduler protocol.
 SCHEDULING_METHODS = frozenset({"after", "at", "call_after", "call_at"})

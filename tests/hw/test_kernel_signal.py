@@ -2,8 +2,19 @@
 
 import pytest
 
+from repro.cosim import ValidationScenario
 from repro.des import Simulator
-from repro.hw import HwKernel, HwModule, Signal, wait_change, wait_posedge, wait_time
+from repro.hw import (
+    BitLevelTpwireBus,
+    HwKernel,
+    HwModule,
+    PhyTiming,
+    Signal,
+    wait_change,
+    wait_posedge,
+    wait_time,
+)
+from repro.tpwire import BusTiming, TpwireMaster, TpwireSlave
 
 
 @pytest.fixture
@@ -170,6 +181,27 @@ class TestThreadProcesses:
         with pytest.raises(TypeError):
             sim.run()
 
+    def test_kernel_keeps_working_after_a_process_raises(self, world):
+        sim, kernel = world
+        sig = Signal(kernel, 0)
+
+        class Bad(HwModule):
+            def build(self):
+                self.thread(self.run)
+
+            def run(self):
+                sig.write(1)
+                yield 42
+
+        Bad(kernel)
+        with pytest.raises(TypeError):
+            sim.run()
+        sim.run()
+        assert sig.read() == 1
+        sim.after(1.0, sig.write, 2)
+        sim.run()
+        assert sig.read() == 2
+
     def test_wait_time_validation(self):
         with pytest.raises(ValueError):
             wait_time(-1.0)
@@ -200,3 +232,159 @@ class TestDeltaCycles:
         sig.write(1)
         kernel.settle()
         assert sig.read() == 1
+
+    def test_write_without_listeners_takes_no_extra_delta(self, world):
+        """The update phase that commits a write needs no delta of its own."""
+        sim, kernel = world
+        sig = Signal(kernel, 0)
+
+        class Writer(HwModule):
+            def build(self):
+                self.thread(self.run)
+
+            def run(self):
+                sig.write(1)
+                yield wait_time(1.0)
+
+        Writer(kernel)
+        sim.run()
+        assert sig.read() == 1
+        assert kernel.delta_count == 2
+
+    def test_same_time_wakeups_run_in_separate_deltas_in_schedule_order(
+        self, world
+    ):
+        sim, kernel = world
+        sig = Signal(kernel, 0)
+        log = []
+
+        class Sleeper(HwModule):
+            def __init__(self, kernel, name):
+                self.tag = name
+                super().__init__(kernel, name)
+
+            def build(self):
+                self.thread(self.run)
+
+            def run(self):
+                yield wait_time(1.0)
+                log.append((self.tag, kernel.delta_count, sig.read()))
+                sig.write(sig.read() + 1)
+
+        Sleeper(kernel, "first")
+        Sleeper(kernel, "second")
+        sim.run()
+        # The second sleeper runs in a later delta and sees the first
+        # sleeper's write already committed.
+        (first, d1, v1), (second, d2, v2) = log
+        assert (first, second) == ("first", "second")
+        assert d2 > d1
+        assert (v1, v2) == (0, 1)
+
+    def test_figure6_bit_level_run_delta_steps(self):
+        scenario = ValidationScenario(bit_level=True)
+        scenario.run(30)
+        assert scenario.system.bus.kernel.delta_count == 99_447
+
+
+class TestStopInsideDeltas:
+    """``sim.stop()`` from a hw process leaves the rest for the next run."""
+
+    @staticmethod
+    def chain(stop_at):
+        sim = Simulator()
+        kernel = HwKernel(sim)
+        a = Signal(kernel, 0)
+        b = Signal(kernel, 0)
+        log = []
+
+        class Chain(HwModule):
+            def build(self):
+                self.thread(self.drive)
+                self.method(self.copy, sensitive=[a], initialize=False)
+                self.method(self.watch, sensitive=[a], initialize=False)
+                self.method(self.record, sensitive=[b], initialize=False)
+
+            def drive(self):
+                for value in (1, 2, 3, 4):
+                    yield wait_time(1.0)
+                    a.write(value)
+
+            def copy(self):
+                b.write(a.read())
+
+            def watch(self):
+                if a.read() == stop_at:
+                    sim.stop()
+
+            def record(self):
+                log.append((sim.now, kernel.delta_count, b.read()))
+
+        Chain(kernel)
+        return sim, kernel, log
+
+    def test_stop_defers_same_time_deltas_to_the_next_run(self):
+        sim, kernel, log = self.chain(stop_at=2)
+        sim.run()
+        # Stopped in the delta where ``a`` became 2: ``b`` has committed
+        # but its listener has not run yet.
+        assert sim.now == 2.0
+        assert log[-1][2] == 1
+        assert sim.pending_events > 0
+        sim.run()
+        reference_sim, reference_kernel, reference_log = self.chain(stop_at=None)
+        reference_sim.run()
+        assert log == reference_log
+        assert (sim.now, kernel.delta_count) == (
+            reference_sim.now, reference_kernel.delta_count
+        )
+
+    def test_stop_mid_frame_resumes_to_the_uninterrupted_result(self):
+        def run(stop_at):
+            sim = Simulator(seed=3)
+            kernel = HwKernel(sim)
+            bus = BitLevelTpwireBus(sim, kernel, PhyTiming())
+            for node_id in (1, 2):
+                bus.attach_slave(TpwireSlave(sim, node_id, BusTiming()))
+            bus.finalize()
+            line = bus.slave_phys[0].down_out
+            edges = []
+            stopped_in = []
+
+            class Stopper(HwModule):
+                def build(self):
+                    self.echo = self.signal(0, name="echo")
+                    self.method(self.watch, sensitive=[line], initialize=False)
+                    self.method(self.record, sensitive=[self.echo],
+                                initialize=False)
+
+                def watch(self):
+                    self.echo.write(len(edges) + 1)
+                    if len(edges) + 1 == stop_at:
+                        sim.stop()
+                        stopped_in.append(kernel.delta_count)
+
+                def record(self):
+                    edges.append((sim.now, kernel.delta_count))
+
+            Stopper(kernel)
+            master = TpwireMaster(sim, bus)
+            op = master.run_op(master.op_write_bytes(2, 0x08, b"\xc3\x5a"))
+            runs = 0
+            while True:
+                sim.run()
+                runs += 1
+                if stopped_in and runs == 1:
+                    # No delta ran after the one that stopped the run.
+                    assert kernel.delta_count == stopped_in[0]
+                if not sim.pending_events:
+                    break
+            return runs, (
+                op.value, sim.now, kernel.delta_count, bus.tx_frames,
+                bus.rx_frames, bytes(bus.slaves[1].registers.memory[8:10]), edges,
+            )
+
+        stopped_runs, stopped = run(stop_at=5)
+        reference_runs, reference = run(stop_at=None)
+        assert (stopped_runs, reference_runs) == (2, 1)
+        assert stopped == reference

@@ -24,7 +24,7 @@ def test_nested_attribute_receiver_flagged():
 
 
 def test_every_hot_layer_in_scope():
-    for module in ("repro.des.m", "repro.tpwire.m", "repro.net.m"):
+    for module in ("repro.des.m", "repro.tpwire.m", "repro.net.m", "repro.hw.m"):
         report = run_rule("q.pop(0)\n", RULE, module=module)
         assert rule_lines(report, RULE) == [1], module
 

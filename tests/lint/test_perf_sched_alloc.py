@@ -42,7 +42,7 @@ def test_keyword_lambda_flagged():
 
 
 def test_every_hot_layer_in_scope():
-    for module in ("repro.des.m", "repro.tpwire.m"):
+    for module in ("repro.des.m", "repro.tpwire.m", "repro.hw.m"):
         report = run_rule("sim.after(0.1, lambda: f())\n", RULE, module=module)
         assert rule_lines(report, RULE) == [1], module
 
