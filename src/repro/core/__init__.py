@@ -14,8 +14,11 @@ The middleware follows the Linda / JavaSpaces model the paper builds on:
   XML-Tuples codec and the socket wire protocol that lets non-Java (C++)
   clients participate (:mod:`repro.core.server`, :mod:`repro.core.rmi`,
   :mod:`repro.core.xmlcodec`, :mod:`repro.core.protocol`);
-* transports: real TCP sockets, hermetic in-memory pipes, and (through
-  :mod:`repro.cosim`) the TpWIRE bus (:mod:`repro.core.transports`);
+* one TCP front end, :class:`~repro.core.aio.AsyncSpaceServer` — the
+  paper's socket wrapper, speaking XML to clients that send no HELLO
+  (:mod:`repro.core.aio`) — and the client transports: TCP sockets,
+  the hermetic in-process loopback and (through :mod:`repro.cosim`)
+  the TpWIRE bus (:mod:`repro.core.transports`);
 * agents for the paper's factory-automation patterns — redundant
   actuators with failover, producer/consumer offload
   (:mod:`repro.core.agents`).

@@ -1,10 +1,10 @@
-"""Asyncio wire front-end: one event loop serving thousands of clients.
+"""Asyncio wire front-end: the space server's one TCP front end.
 
-The paper's socket wrapper (Sec. 4.2) is reproduced faithfully by the
-thread-per-connection :class:`~repro.core.transports.SocketSpaceServer`;
-this module is the scale-out front end the ROADMAP asks for on top of
-the same :class:`~repro.core.server.SpaceServer` — the space engine
-stays single-threaded, the loop multiplexes connections around it:
+:class:`AsyncSpaceServer` is the paper's socket wrapper (Sec. 4.2,
+Figure 4): a client that sends no HELLO speaks the historical XML wire
+protocol to it unchanged.  It sits on a
+:class:`~repro.core.server.SpaceServer` — the space engine stays
+single-threaded, the loop multiplexes connections around it:
 
 * **single-writer send path per connection** — responses, notify events
   and timer-driven timeouts all append to one per-connection outbox
@@ -159,9 +159,8 @@ class _AsyncConnection:
             try:
                 messages = self.parser.feed(data)
             except ProtocolError as exc:
-                # Same contract as the threaded server: a malformed
-                # frame answers ERROR when a request id is recoverable,
-                # then the connection closes cleanly.
+                # A malformed frame answers ERROR when a request id is
+                # recoverable, then the connection closes cleanly.
                 self.front.protocol_errors += 1
                 request_id = self.parser.error_request_id
                 if request_id is not None:
@@ -246,7 +245,7 @@ class _AsyncConnection:
 
 
 class AsyncSpaceServer:
-    """Asyncio front end over a :class:`SpaceServer` (ROADMAP item 2).
+    """Asyncio front end over a :class:`SpaceServer`.
 
     Usage::
 

@@ -223,16 +223,22 @@ class SpaceClient:
             else self.clock.now() + self.request_timeout
         )
         while True:
+            started = self.clock.now()
             data = self.connection.recv_bytes()
             if not data:
                 if getattr(self.connection, "closed", False):
                     raise ConnectionClosedError("connection closed mid-request")
-                if deadline is not None and self.clock.now() >= deadline:
+                now = self.clock.now()
+                if deadline is not None and now >= deadline:
                     raise RequestTimeoutError(
                         f"no response to request {request_id} within "
                         f"{self.request_timeout}s"
                     )
-                self.clock.sleep(self.poll_interval)
+                # Sleep only what the read did not already wait: a socket
+                # read parks in a bounded select that a reply ends at once.
+                rest = self.poll_interval - (now - started)
+                if rest > 0:
+                    self.clock.sleep(rest)
                 continue
             for message in self._parser.feed(data):
                 if message.msg_type is MessageType.NOTIFY_EVENT:

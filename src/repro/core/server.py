@@ -13,7 +13,6 @@ timer, so one server serves many sessions without threads of its own.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Optional
 
 from repro.core.errors import ProtocolError, SpaceError
@@ -49,16 +48,6 @@ class SimTimers(Timers):
 
     def call_later(self, delay: float, fn) -> "_Handle":
         return self._Handle(self.sim, self.sim.after(delay, fn))
-
-
-class ThreadTimers(Timers):
-    """Real-time timers (``threading.Timer``) for the socket server."""
-
-    def call_later(self, delay: float, fn) -> threading.Timer:
-        timer = threading.Timer(delay, fn)
-        timer.daemon = True
-        timer.start()
-        return timer
 
 
 class NullTimers(Timers):

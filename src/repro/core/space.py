@@ -7,7 +7,7 @@ agents "writing, reading and removing tuples" addressed associatively, and
 The engine is single-threaded and clock-driven: leases expire lazily
 against the injected :class:`~repro.core.clock.Clock`, and blocking
 semantics are expressed through *waiters* (callbacks registered for the
-next matching write), so the same engine serves the threaded socket
+next matching write), so the same engine serves the asyncio socket
 server, the discrete-event co-simulation and plain unit tests.
 
 Stored items can be :class:`~repro.core.tuples.LindaTuple`,

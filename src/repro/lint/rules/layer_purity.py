@@ -4,8 +4,8 @@ The discrete-event layers (``repro.des``, ``repro.tpwire``,
 ``repro.net``, ``repro.hw``) are single-threaded coroutine machines; a
 ``threading`` or ``socket`` import there either breaks determinism or
 smuggles real IO into what Table 3 validates as a closed model.  Real
-concurrency lives in ``repro.core.transports``/``repro.core.server``
-(the paper's socket wrapper), which are outside these layers.
+concurrency lives in ``repro.core.aio`` (the paper's socket wrapper)
+and ``repro.core.transports``, which are outside these layers.
 """
 
 from __future__ import annotations

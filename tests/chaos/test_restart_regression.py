@@ -6,11 +6,12 @@ the dead session's waiter and the response sent into the void — a
 surviving client observed a lost acknowledged write, and a retried take
 could silently double-consume.  The server now reaps parked waiters when
 the transport reports the session closed (``SpaceServer.session_closed``,
-wired into both the local and the socket transports).
+wired into both the local transport and the asyncio TCP front end).
 
-The contract under test: an in-flight ``take`` across a
-:class:`SocketSpaceServer` restart either completes exactly once or
-raises :class:`ConnectionClosedError` — never neither, never twice.
+The contract under test: an in-flight ``take`` across a restart of the
+TCP front end (:class:`~repro.core.aio.AsyncSpaceServer`) either
+completes exactly once or raises :class:`ConnectionClosedError` — never
+neither, never twice.
 """
 
 import threading
@@ -21,12 +22,9 @@ from repro.core.client import SpaceClient
 from repro.core.errors import ConnectionClosedError
 from repro.core.protocol import Message, MessageType, encode_message
 from repro.core.server import NullTimers
-from repro.core.transports import (
-    LocalConnection,
-    make_threaded_server,
-    open_socket_connection,
-)
+from repro.core.transports import LocalConnection, open_socket_connection
 from repro.core.tuples import LindaTuple, TupleTemplate
+from tests.core.tcp_front import serve_tcp
 
 TEMPLATE = TupleTemplate("job", int)
 
@@ -62,16 +60,12 @@ class TakerThread(threading.Thread):
 
 def test_take_across_restart_completes_once_or_raises():
     space = TupleSpace()
-    first = make_threaded_server(space)
-    first.start()
-    try:
+    with serve_tcp(space) as first:
         taker = TakerThread(first.address)
         taker.start()
         # The TAKE is in flight: parked in the space with a timeout timer.
         assert wait_until(lambda: len(first.server._parked) == 1)
         assert space.stats.writes == 0
-    finally:
-        first.stop()
 
     # The crash killed the connection; the client must learn it.
     taker.join(timeout=5.0)
@@ -82,9 +76,7 @@ def test_take_across_restart_completes_once_or_raises():
     assert first.server.waiters_reaped == 1
 
     # Restart: a fresh front end over the same space.
-    second = make_threaded_server(space)
-    second.start()
-    try:
+    with serve_tcp(space) as second:
         connection = open_socket_connection(second.address)
         client = SpaceClient(connection, XmlCodec())
         client.write(LindaTuple("job", 7))
@@ -94,15 +86,11 @@ def test_take_across_restart_completes_once_or_raises():
         assert got == LindaTuple("job", 7)
         assert client.take_if_exists(TEMPLATE) is None
         connection.close()
-    finally:
-        second.stop()
 
 
 def test_take_completed_before_restart_is_delivered_once():
     space = TupleSpace()
-    first = make_threaded_server(space)
-    first.start()
-    try:
+    with serve_tcp(space) as first:
         taker = TakerThread(first.address)
         taker.start()
         assert wait_until(lambda: len(first.server._parked) == 1)
@@ -114,8 +102,6 @@ def test_take_completed_before_restart_is_delivered_once():
         assert taker.error is None
         assert taker.result == LindaTuple("job", 1)
         writer_conn.close()
-    finally:
-        first.stop()
 
     # Delivered takes are done: nothing was reaped, nothing double-served.
     assert first.server.waiters_reaped == 0

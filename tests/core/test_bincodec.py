@@ -21,7 +21,8 @@ from repro.core.protocol import (
     make_wire_codec,
     negotiate_codec,
 )
-from repro.core.transports import make_threaded_server, open_socket_connection
+from repro.core.transports import open_socket_connection
+from tests.core.tcp_front import serve_tcp
 
 
 class Part(Entry):
@@ -215,9 +216,9 @@ class TestNegotiation:
             make_wire_codec("msgpack", XmlCodec())
 
     def test_sync_client_negotiates_binary_over_tcp(self, registry):
-        """Full-stack negotiation: threaded TCP server + sync client."""
+        """Full-stack negotiation: asyncio TCP front end + sync client."""
         space = TupleSpace()
-        with make_threaded_server(space, registry) as server:
+        with serve_tcp(space, registry) as server:
             connection = open_socket_connection(server.address)
             try:
                 client = SpaceClient(connection, registry, request_timeout=2.0)

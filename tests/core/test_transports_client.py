@@ -1,5 +1,6 @@
 """Client over the loopback and TCP socket transports."""
 
+import socket
 import threading
 import time
 
@@ -15,13 +16,9 @@ from repro.core import (
     TupleTemplate,
     XmlCodec,
 )
-from repro.core.errors import SpaceError
-from repro.core.server import ThreadTimers
-from repro.core.transports import (
-    LocalConnection,
-    SocketSpaceServer,
-    open_socket_connection,
-)
+from repro.core.errors import RequestTimeoutError, SpaceError
+from repro.core.transports import LocalConnection, open_socket_connection
+from tests.core.tcp_front import serve_tcp
 
 
 class Part(Entry):
@@ -108,8 +105,7 @@ class TestSocketTransport:
     def server(self):
         codec = make_codec()
         space = TupleSpace()
-        space_server = SpaceServer(space, codec, timers=ThreadTimers())
-        with SocketSpaceServer(space_server, port=0) as tcp:
+        with serve_tcp(space, codec) as tcp:
             yield tcp, codec, space
 
     def test_roundtrip_over_tcp(self, server):
@@ -170,4 +166,38 @@ class TestSocketTransport:
             assert client.take(Part(serial="never"), timeout=0.3) is None
             assert time.monotonic() - start >= 0.25
         finally:
+            conn.close()
+
+
+class TestSocketRequestTimeout:
+    def test_request_timeout_fires_against_a_silent_peer(self):
+        # A peer that accepts the connection and never answers: the
+        # read used to park in a blocking recv and never reach the
+        # client's deadline check.
+        listener = socket.create_server(("127.0.0.1", 0))
+        conn = open_socket_connection(listener.getsockname())
+        outcome = []
+
+        def ping():
+            client = SpaceClient(conn, XmlCodec(), request_timeout=0.5)
+            try:
+                outcome.append(client.ping())
+            except RequestTimeoutError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=ping, daemon=True)
+        try:
+            start = time.monotonic()
+            thread.start()
+            thread.join(timeout=0.5 + 1.0)
+            elapsed = time.monotonic() - start
+            assert not thread.is_alive(), "ping still blocked past its timeout"
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], RequestTimeoutError)
+            assert 0.5 <= elapsed < 0.5 + 1.0
+        finally:
+            # Closing the listener resets the unanswered connection, which
+            # also releases a ping that never timed out.
+            listener.close()
+            thread.join(timeout=5.0)
             conn.close()

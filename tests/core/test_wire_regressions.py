@@ -43,11 +43,8 @@ from repro.core.protocol import (
     StreamParser,
     encode_message,
 )
-from repro.core.transports import (
-    LocalConnection,
-    make_threaded_server,
-    open_socket_connection,
-)
+from repro.core.transports import LocalConnection, open_socket_connection
+from tests.core.tcp_front import serve_tcp
 
 
 class Part(Entry):
@@ -67,8 +64,7 @@ def make_codec():
 def tcp_server():
     codec = make_codec()
     space = TupleSpace()
-    server = make_threaded_server(space, codec)
-    with server:
+    with serve_tcp(space, codec) as server:
         yield server, codec, space
 
 

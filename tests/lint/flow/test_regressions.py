@@ -1,17 +1,18 @@
-"""The transports defects, reduced: the analyzer catches each pre-fix shape.
+"""The threaded-server defects, reduced: the analyzer catches each pre-fix shape.
 
-``repro.core.transports`` was fixed in the same change that added the
-concurrency rules; these fixtures replay the *pre-fix* code shapes (and
-one tempting wrong fix) to pin down that the rules would have caught
-them — the real module staying clean is covered by the repo-wide CLI
-test.
+The thread-per-connection TCP server (since replaced by the asyncio
+front end) was fixed in the same change that added the concurrency
+rules; these fixtures replay its *pre-fix* code shapes (and one
+tempting wrong fix) as inline code to pin down that the rules would
+have caught them — the repo staying clean is covered by the repo-wide
+CLI test.
 """
 
 from tests.lint.project.projutil import run_rules, write_project
 
 
 def test_prefix_accept_loop_without_joins_is_flagged(tmp_path):
-    # The original SocketSpaceServer: a thread per connection, appended
+    # The original threaded server: a thread per connection, appended
     # to a list nothing ever pruned or joined.
     write_project(
         tmp_path,
@@ -48,8 +49,8 @@ def test_prefix_accept_loop_without_joins_is_flagged(tmp_path):
 def test_joining_while_holding_the_list_lock_is_flagged(tmp_path):
     # The tempting wrong fix: join the threads inside the same with
     # block that snapshots the list.  A wedged connection would then
-    # hold the lock and deadlock the accept loop; the final stop()
-    # joins outside the lock because of this rule.
+    # hold the lock and deadlock the accept loop; the server's fixed
+    # stop() joined outside the lock because of this rule.
     write_project(
         tmp_path,
         {
@@ -79,7 +80,7 @@ def test_joining_while_holding_the_list_lock_is_flagged(tmp_path):
 def test_helper_method_pruning_without_the_lock_is_flagged(tmp_path):
     # Pruning via a helper called with the lock held by the *caller*:
     # the flow facts are per function, so the helper's writes look
-    # lock-free — which is exactly why the real accept loop prunes
+    # lock-free — which is exactly why the server's accept loop pruned
     # inline under the with block instead.
     write_project(
         tmp_path,

@@ -38,6 +38,15 @@ def test_repo_tests_and_benchmarks_lint_clean():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def test_repo_core_has_no_suppressions():
+    # The serving core lints clean without a single `# lint: disable=`:
+    # a new suppression there needs this guard changed, not just a comment.
+    result = _run_cli(["--format", "json", "src/repro/core"], cwd=REPO_ROOT)
+    assert result.returncode == 0, result.stdout + result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["suppressed"] == []
+
+
 def test_seeded_violation_fails(tmp_path: Path):
     bad = tmp_path / "bad.py"
     bad.write_text("def f(x=[]):\n    pass\n")
