@@ -49,8 +49,11 @@ class LocalConnection:
 
     ``send_bytes`` dispatches requests straight into the server (through
     its RMI proxy); responses accumulate in an internal buffer that
-    ``recv_bytes`` drains.  The buffer is locked so a server whose
-    ``timers`` fire on another thread can still deliver into it.
+    ``recv_bytes`` drains.  The buffer is locked because deliveries are
+    not always made by this connection's caller: a request on another
+    connection to the same server (a ``write`` that releases a take
+    parked here, or fires a notify registered here) delivers into this
+    buffer from whichever thread sent that request.
     """
 
     def __init__(self, server: SpaceServer, registry: Optional[Registry] = None):
@@ -61,7 +64,7 @@ class LocalConnection:
             registry.bind("SpaceServer", server, exposed=["handle"])
         self._proxy = registry.lookup("SpaceServer")
         self._parser = StreamParser(self.codec)
-        self._rx = bytearray()  # lint: guarded-by=self._lock
+        self._rx = bytearray()  # guarded by self._lock
         self._lock = threading.Lock()
         self.closed = False
         self._session = _ProxySession(self.codec, self._deliver)

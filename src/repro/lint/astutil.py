@@ -32,6 +32,33 @@ def from_imported(tree: ast.Module, module: str) -> dict[str, tuple[ast.ImportFr
     return imported
 
 
+def dotted(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def walk_in_scope(node: ast.AST):
+    """``ast.walk`` that does not descend into nested function scopes
+    (lambdas, defs) — their calls don't execute here."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        for child in ast.iter_child_nodes(current):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                continue
+            stack.append(child)
+
+
 def terminal_name(node: ast.AST) -> Optional[str]:
     """The final identifier of a Name/Attribute chain (``a.b.c`` -> ``c``)."""
     if isinstance(node, ast.Name):

@@ -2,11 +2,10 @@
 
 :func:`extract_effects` is called by
 :func:`repro.lint.project.symbols.summarize_source` and returns a plain
-JSON dict riding inside the :class:`ModuleSummary` — like the flow
-facts, effect seeds are computed once per file *content* (in the
-multiprocessing workers) and served from the incremental cache on warm
-runs.  The interprocedural layer (:mod:`repro.lint.effects.infer`) then
-works over summaries only.
+JSON dict riding inside the :class:`ModuleSummary` — effect seeds are
+computed once per file *content* (in the multiprocessing workers) and
+served from the incremental cache on warm runs.  The interprocedural
+layer (:mod:`repro.lint.effects.infer`) then works over summaries only.
 
 Shape (keys omitted when empty)::
 
@@ -41,10 +40,10 @@ from repro.lint.effects.model import (
     UNORDERED_OS_TAILS,
     UNSTABLE_ITER,
     BLOCKING,
+    MUTATOR_TAILS,
+    blocking_dotted,
     classify_call,
 )
-from repro.lint.flow.facts import MUTATOR_TAILS, _walk_in_scope, blocking_dotted
-from repro.lint.flow.locks import dotted
 
 #: Methods where self-mutation is construction, not observable mutation.
 BIRTH_METHODS = frozenset({"__init__", "__new__", "__post_init__", "__del__"})
@@ -120,7 +119,7 @@ def _local_names(func) -> frozenset:
     for extra in (args.vararg, args.kwarg):
         if extra is not None:
             names.add(extra.arg)
-    for node in _walk_in_scope(func):
+    for node in astutil.walk_in_scope(func):
         if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
             names.add(node.id)
         elif isinstance(node, (ast.For, ast.AsyncFor)):
@@ -154,7 +153,7 @@ class _SetTracker:
 
     def __init__(self, func):
         self.setish_locals: set[str] = set()
-        for node in _walk_in_scope(func):
+        for node in astutil.walk_in_scope(func):
             if isinstance(node, ast.Assign) and self.is_setish(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -197,7 +196,7 @@ class _FunctionEffects:
         self.locals = _local_names(func)
         self.params = _param_names(func)
         self.globals_decl: set[str] = set()
-        for node in _walk_in_scope(func):
+        for node in astutil.walk_in_scope(func):
             if isinstance(node, ast.Global):
                 self.globals_decl.update(node.names)
         self.effects: dict[str, list[dict]] = {}
@@ -205,6 +204,9 @@ class _FunctionEffects:
         self.scheduled: list[list] = []
         self.self_writes: list[list] = []
         self.sets = _SetTracker(func)
+        #: ids of calls that are the direct operand of ``await``; the
+        #: walk yields each Await before its operand.
+        self.awaited: set[int] = set()
 
     # -- recording ----------------------------------------------------------
 
@@ -218,7 +220,7 @@ class _FunctionEffects:
     # -- the walk -----------------------------------------------------------
 
     def extract(self) -> dict:
-        for node in _walk_in_scope(self.func):
+        for node in astutil.walk_in_scope(self.func):
             if isinstance(node, ast.Call):
                 self._call(node)
             elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
@@ -230,6 +232,8 @@ class _FunctionEffects:
                     self._iteration(gen.iter)
             elif isinstance(node, ast.Attribute):
                 self._attr(node)
+            elif isinstance(node, ast.Await):
+                self.awaited.add(id(node.value))
 
         record: dict = {"line": self.func.lineno}
         if isinstance(self.func, ast.AsyncFunctionDef):
@@ -259,7 +263,7 @@ class _FunctionEffects:
         return None
 
     def _call(self, call: ast.Call) -> None:
-        raw = dotted(call.func)
+        raw = astutil.dotted(call.func)
         if raw is None:
             return
         if raw not in self.calls:
@@ -268,7 +272,9 @@ class _FunctionEffects:
         argc = len(call.args)
         for kind, what in classify_call(name, argc):
             self.seed(kind, call.lineno, what)
-        if blocking_dotted(name):
+        # No curated blocking primitive returns an awaitable: an awaited
+        # ``event.wait()`` / ``queue.get()`` is an asyncio primitive.
+        if blocking_dotted(name) and id(call) not in self.awaited:
             self.seed(BLOCKING, call.lineno, f"{name}()")
         self._schedule(call, raw)
         self._mutator_call(call, raw)
@@ -281,14 +287,14 @@ class _FunctionEffects:
         if tail in SCHEDULE_TAILS_ALWAYS:
             pass
         elif tail in SCHEDULE_TAILS_GUARDED:
-            receiver = dotted(func.value)
+            receiver = astutil.dotted(func.value)
             if receiver is None or not SIMISH_RE.search(receiver.split(".")[-1]):
                 return
         else:
             return
         if len(call.args) < 2:
             return
-        target = dotted(call.args[1])
+        target = astutil.dotted(call.args[1])
         if target is not None and len(self.scheduled) < _MAX_SITES:
             self.scheduled.append([target, call.lineno])
 
@@ -320,7 +326,7 @@ class _FunctionEffects:
         root = _root_name(target)
         if root is None:
             return
-        name = dotted(target) if isinstance(target, ast.Attribute) else None
+        name = astutil.dotted(target) if isinstance(target, ast.Attribute) else None
         self._mutation(root, name or root, line, attr_depth=2)
 
     def _mutation(self, root: str, name: str, line: int, attr_depth: int) -> None:
@@ -356,7 +362,7 @@ class _FunctionEffects:
             )
 
     def _attr(self, node: ast.Attribute) -> None:
-        name = dotted(node)
+        name = astutil.dotted(node)
         if name is None:
             return
         normalized = _normalize(name, self.mod_aliases, self.from_names)
@@ -366,10 +372,10 @@ class _FunctionEffects:
 
 def _unordered_os(tree_func, fn: "_FunctionEffects", parents: dict) -> None:
     """Seed unstable-iteration for OS-ordered listings not under sorted()."""
-    for node in _walk_in_scope(tree_func):
+    for node in astutil.walk_in_scope(tree_func):
         if not isinstance(node, ast.Call):
             continue
-        raw = dotted(node.func)
+        raw = astutil.dotted(node.func)
         if raw is None:
             continue
         name = _normalize(raw, fn.mod_aliases, fn.from_names)
@@ -392,7 +398,7 @@ def _unordered_os(tree_func, fn: "_FunctionEffects", parents: dict) -> None:
 
 def _converter_sets(tree_func, fn: "_FunctionEffects") -> None:
     """``list(a_set)`` / ``tuple(a_set)`` bake hash order into a sequence."""
-    for node in _walk_in_scope(tree_func):
+    for node in astutil.walk_in_scope(tree_func):
         if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
             continue
         if node.func.id not in _ORDER_SENSITIVE_CONVERTERS or not node.args:

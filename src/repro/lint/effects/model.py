@@ -26,7 +26,9 @@ propagation is a monotone fixpoint:
     Iterates a hash-ordered or OS-ordered collection (sets,
     ``os.listdir``/``glob``) without ``sorted()``.
 ``blocking``
-    May park the calling thread (the flow pack's curated primitives).
+    May park the calling thread (``BLOCKING_TAILS``, the curated
+    primitives).  A call that is the direct operand of ``await`` never
+    seeds it.
 
 Seed classification is *name-based over alias-normalised dotted calls*:
 extraction rewrites ``import time as t; t.monotonic()`` to
@@ -171,8 +173,7 @@ SOCKET_TAILS_GUARDED = frozenset({"recv", "accept", "bind", "listen"})
 SOCKISH_RE = re.compile(r"(sock|socket|listener)", re.IGNORECASE)
 
 #: Thread/process/executor constructors (``threading.Timer`` included:
-#: unlike the flow pack's lifecycle rule, *any* OS-scheduled execution
-#: is nondeterministic relative to sim time).
+#: *any* OS-scheduled execution is nondeterministic relative to sim time).
 THREAD_SPAWN_CALLS = frozenset(
     {
         "threading.Thread",
@@ -215,6 +216,55 @@ UNORDERED_OS_CALLS = frozenset(
 
 #: Method tail for ``Path.iterdir()`` — OS-ordered on any receiver.
 UNORDERED_OS_TAILS = frozenset({"iterdir"})
+
+#: Call tails treated as blocking primitives.  ``join`` and the queue
+#: verbs additionally require a thread/queue-looking receiver so
+#: ``os.path.join`` / ``dict.get`` stay out.
+BLOCKING_TAILS = frozenset(
+    {
+        "sleep",
+        "recv",
+        "recvfrom",
+        "recv_into",
+        "sendall",
+        "sendto",
+        "accept",
+        "connect",
+        "select",
+        "getaddrinfo",
+        "gethostbyname",
+        "wait",
+        "join",
+        "get",
+        "put",
+    }
+)
+
+_RECEIVER_GUARDED_TAILS = frozenset({"join", "get", "put"})
+_THREADISH_RE = re.compile(r"(thread|proc|worker|pool|queue)", re.IGNORECASE)
+
+#: Async frameworks whose same-named primitives suspend instead of
+#: blocking — ``await asyncio.sleep(...)`` is the *correct* async idiom.
+_ASYNC_NAMESPACES = frozenset({"asyncio", "anyio", "trio", "curio"})
+
+#: Method tails that mutate their receiver — ``self._rx.append(...)``
+#: counts as a write to ``self._rx``.
+MUTATOR_TAILS = frozenset(
+    {
+        "append",
+        "appendleft",
+        "extend",
+        "insert",
+        "remove",
+        "pop",
+        "popleft",
+        "clear",
+        "add",
+        "discard",
+        "update",
+        "setdefault",
+    }
+)
 
 #: ``# lint: effect=pure`` / ``# lint: effect=sim-safe`` on the def line.
 ANNOTATION_RE = re.compile(r"#\s*lint:\s*effect=(pure|sim-safe)\b")
@@ -271,3 +321,19 @@ def classify_call(name: str, argc: int) -> list[tuple[str, str]]:
         seeds.append((ENV_READ, f"{name}()"))
 
     return seeds
+
+
+def blocking_dotted(name: str) -> bool:
+    """Is the alias-normalised dotted call name a curated blocking
+    primitive?"""
+    parts = name.split(".")
+    tail = parts[-1]
+    if tail not in BLOCKING_TAILS:
+        return False
+    if len(parts) > 1 and parts[0] in _ASYNC_NAMESPACES:
+        return False
+    if tail in _RECEIVER_GUARDED_TAILS:
+        receiver = parts[-2] if len(parts) > 1 else ""
+        if not _THREADISH_RE.search(receiver):
+            return False
+    return True

@@ -14,9 +14,8 @@ Five project rules riding the :mod:`repro.lint.effects.infer` fixpoint
   obs code into project methods that mutate their own state.
 * ``effect-annotation-drift``— ``# lint: effect=pure|sim-safe`` def-line
   annotations are *verified* against the inference, never trusted.
-* ``async-unsafe-call``      — coroutines must not transitively block
-  or spawn threads (armed ahead of the asyncio front-end; direct
-  blocking calls stay with the flow pack's ``async-blocking``).
+* ``async-unsafe-call``      — coroutines must not block, directly or
+  through a callee, or spawn threads.
 
 All rules consume the inference result only — sources are never
 re-read — so a warm run serves them entirely from the project cache.
@@ -293,8 +292,8 @@ class EffectAnnotationDriftRule(_EffectRule):
 class AsyncUnsafeCallRule(_EffectRule):
     id = "async-unsafe-call"
     summary = (
-        "coroutines must not transitively block the event loop or "
-        "spawn OS threads — armed ahead of the asyncio wire front-end"
+        "coroutines must not block the event loop, directly or through "
+        "a callee, or spawn OS threads"
     )
 
     def check(self, index) -> Iterator[Finding]:
@@ -307,9 +306,15 @@ class AsyncUnsafeCallRule(_EffectRule):
                 continue
             node_effects = effects.effects_of(node)
             blocking = node_effects.get(BLOCKING)
-            # Direct blocking seeds are async-blocking's (the flow
-            # pack's) findings; this rule adds the transitive closure.
-            if blocking is not None and blocking["t"] == "call":
+            if blocking is not None and blocking["t"] == "seed":
+                for site in rec["effects"][BLOCKING]:
+                    yield self.finding_at(
+                        effects.path_of(node),
+                        site["line"],
+                        f"blocking call {site['what']} inside async def "
+                        f"{_node_qual(node)}; it stalls the event loop",
+                    )
+            elif blocking is not None:
                 yield self.finding_at(
                     effects.path_of(node),
                     blocking["line"],

@@ -33,10 +33,9 @@ class Finding:
     severity: Severity = Severity.ERROR
     #: Optional witness path as ``(line, note)`` pairs within ``path``,
     #: or ``(line, note, step_path)`` triples when a step lives in a
-    #: different file (effect rules attach cross-module call chains) —
-    #: flow rules attach the acquire→leak trace here and the SARIF
-    #: writer renders it as a ``codeFlow``.  A tuple (not a list) so
-    #: the dataclass stays hashable.
+    #: different file (effect rules attach cross-module call chains);
+    #: the SARIF writer renders it as a ``codeFlow``.  A tuple (not a
+    #: list) so the dataclass stays hashable.
     code_flow: tuple = ()
 
     def format(self) -> str:

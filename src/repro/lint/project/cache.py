@@ -30,7 +30,9 @@ from repro.lint.project.graph import ModuleGraph
 # summaries lack it and must be recomputed, not deserialised.
 # 3: ModuleSummary grew the `effects` seed field and the cache grew the
 # project-digest effects tier; version-2 entries must be recomputed.
-CACHE_VERSION = 3
+# 4: ModuleSummary dropped the `flow` concurrency-fact field; version-3
+# summaries carry it and would not deserialise.
+CACHE_VERSION = 4
 
 
 def content_hash(data: bytes) -> str:

@@ -47,7 +47,7 @@ def measure(
     select: Optional[list[str]] = None,
 ) -> dict:
     """Time one cold and ``warm_runs`` warm project passes (optionally
-    restricted to ``select``-ed rules, e.g. the flow pack)."""
+    restricted to ``select``-ed rules, e.g. the effects pack)."""
     options = dict(config.rule_options)
     options["project"] = {
         **options.get("project", {}),

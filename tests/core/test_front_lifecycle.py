@@ -1,7 +1,7 @@
 """Connection lifecycle of the TCP front end: pruning and shutdown.
 
-Ported from the thread-per-connection server's lifecycle regressions
-(see docs/concurrency.md): its per-connection thread list grew without
+Ported from the thread-per-connection server's lifecycle regressions:
+its per-connection thread list grew without
 bound over the life of the server, and ``stop()`` abandoned its threads
 instead of joining them.  The same three behaviours, over real TCP,
 against :class:`~repro.core.aio.AsyncSpaceServer`.

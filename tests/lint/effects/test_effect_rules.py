@@ -352,7 +352,7 @@ def test_async_transitive_blocking_is_flagged(tmp_path):
     assert "calls backoff()" in findings[0].message
 
 
-def test_async_direct_blocking_belongs_to_the_flow_pack(tmp_path):
+def test_async_direct_blocking_is_flagged(tmp_path):
     findings, _s, _st = run(
         tmp_path,
         {
@@ -361,6 +361,117 @@ def test_async_direct_blocking_belongs_to_the_flow_pack(tmp_path):
 
                 async def pump():
                     time.sleep(1.0)
+                    time.sleep(2.0)
+                """,
+        },
+        ["async-unsafe-call"],
+    )
+    # Every direct call is reported, each at its own line.
+    assert sorted(f.line for f in findings) == [4, 5]
+    assert {f.message for f in findings} == {
+        "blocking call time.sleep() inside async def pump; "
+        "it stalls the event loop"
+    }
+
+
+def test_async_blocking_direct_call_fires(tmp_path):
+    write_project(
+        tmp_path,
+        {
+            "src/repro/net/__init__.py": "",
+            "src/repro/net/aio.py": """
+                import time
+
+                async def tick():
+                    time.sleep(0.1)
+                """,
+        },
+    )
+    findings, _s, _stats = run_rules(tmp_path, ["async-unsafe-call"])
+    assert len(findings) == 1
+    finding = findings[0]
+    assert finding.line == 5
+    assert "time.sleep()" in finding.message
+    assert "event loop" in finding.message
+
+
+def test_async_blocking_transitive_helper_fires(tmp_path):
+    write_project(
+        tmp_path,
+        {
+            "src/repro/net/__init__.py": "",
+            "src/repro/net/aio.py": """
+                def pump(sock):
+                    return sock.recv(65536)
+
+                async def tick(sock):
+                    return pump(sock)
+                """,
+        },
+    )
+    findings, _s, _stats = run_rules(tmp_path, ["async-unsafe-call"])
+    assert len(findings) == 1
+    assert "pump()" in findings[0].message
+    assert "via sock.recv()" in findings[0].message
+
+
+def test_await_asyncio_sleep_is_the_correct_idiom(tmp_path):
+    write_project(
+        tmp_path,
+        {
+            "src/repro/net/__init__.py": "",
+            "src/repro/net/aio.py": """
+                import asyncio
+
+                async def tick():
+                    await asyncio.sleep(0.1)
+                """,
+        },
+    )
+    findings, _s, _stats = run_rules(tmp_path, ["async-unsafe-call"])
+    assert findings == []
+
+
+def test_async_blocking_suppression(tmp_path):
+    write_project(
+        tmp_path,
+        {
+            "src/repro/net/__init__.py": "",
+            "src/repro/net/aio.py": """
+                import time
+
+                async def tick():
+                    time.sleep(0.1)  # lint: disable=async-unsafe-call
+                """,
+        },
+    )
+    findings, suppressed, _stats = run_rules(tmp_path, ["async-unsafe-call"])
+    assert findings == []
+    assert [f.rule for f in suppressed] == ["async-unsafe-call"]
+
+
+def test_awaited_asyncio_primitives_are_not_blocking(tmp_path):
+    # ``wait``/``get`` are curated blocking tails, but an awaited call
+    # returns an awaitable, which no blocking primitive does.
+    findings, _s, _st = run(
+        tmp_path,
+        {
+            "src/repro/net/aio.py": """\
+                import asyncio
+
+                class Pump:
+                    def __init__(self):
+                        self._stop = asyncio.Event()
+                        self._queue = asyncio.Queue()
+
+                    async def _until_stopped(self):
+                        await self._stop.wait()
+
+                    async def run(self):
+                        await self._until_stopped()
+
+                    async def next_item(self):
+                        return await self._queue.get()
                 """,
         },
         ["async-unsafe-call"],

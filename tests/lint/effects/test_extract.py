@@ -5,6 +5,7 @@ import textwrap
 
 from repro.lint.effects import (
     ALL_KINDS,
+    BLOCKING,
     ENV_READ,
     GLOBAL_MUTATION,
     NONDET_KINDS,
@@ -15,6 +16,7 @@ from repro.lint.effects import (
     WALL_CLOCK,
 )
 from repro.lint.effects.extract import extract_effects
+from repro.lint.effects.model import blocking_dotted
 
 
 def test_the_effect_lattice_is_closed():
@@ -235,3 +237,25 @@ def test_calls_record_raw_names_and_async_flag():
     record = functions["pump"]
     assert record["is_async"] is True
     assert ["drain", 3] in record["calls"]
+
+
+def test_blocking_dotted_receiver_guards():
+    assert blocking_dotted("time.sleep")
+    assert blocking_dotted("sock.recv")
+    assert blocking_dotted("worker.join")
+    assert not blocking_dotted("os.path.join")  # path, not a thread
+    assert not blocking_dotted("cache.get")  # dict-like, not a queue
+    assert blocking_dotted("queue.get")
+    assert not blocking_dotted("asyncio.sleep")  # suspends, not blocks
+
+
+def test_awaited_call_seeds_no_blocking_effect():
+    functions = extract(
+        """
+        async def pump(self):
+            await self._queue.get()
+            self._queue.get()
+        """
+    )
+    sites = functions["pump"]["effects"][BLOCKING]
+    assert sites == [{"line": 4, "what": "self._queue.get()"}]

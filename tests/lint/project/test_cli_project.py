@@ -33,27 +33,6 @@ def test_unknown_rule_suggests_the_closest_id(tmp_path, monkeypatch, capsys):
     assert "did you mean 'layer-cycle'?" in err
 
 
-def test_unknown_flow_rule_ids_get_suggestions(tmp_path, monkeypatch, capsys):
-    # The concurrency rule pack registers with the same did-you-mean
-    # machinery as everything else.
-    write_project(tmp_path, DRIFT_PROJECT)
-    monkeypatch.chdir(tmp_path)
-    assert main(["--select", "lock-balanc,async-blockin", "src"]) == 2
-    err = capsys.readouterr().err
-    assert "did you mean 'lock-balance'?" in err
-    assert "did you mean 'async-blocking'?" in err
-
-
-def test_flow_rule_ids_are_selectable(tmp_path, monkeypatch):
-    write_project(tmp_path, DRIFT_PROJECT)
-    monkeypatch.chdir(tmp_path)
-    select = (
-        "lock-balance,lock-order,guarded-state,blocking-under-lock,"
-        "cond-wait-loop,async-blocking,thread-lifecycle"
-    )
-    assert main(["--select", select, "src"]) == 0
-
-
 def test_empty_select_is_a_usage_error(tmp_path, monkeypatch, capsys):
     write_project(tmp_path, DRIFT_PROJECT)
     monkeypatch.chdir(tmp_path)
