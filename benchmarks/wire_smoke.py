@@ -6,8 +6,11 @@ smoke scale for both body codecs and fails when
 * any operation is lost, errors, or leaves residue in the space,
 * the front end trips a protocol error or slow-consumer close, or
 * the binary codec's throughput advantage over XML falls below the
-  gate floor (the committed 10k-client artefact shows >=2x; the CI
-  floor is looser because shared runners are noisy).
+  gate floor (about 2x on a quiet host; the CI floor is looser because
+  shared runners are noisy).
+
+Every client holds one loopback TCP connection, two file descriptors;
+the default 1000 clients need an open-file limit above 2000.
 
 Run from the repository root::
 
@@ -26,7 +29,7 @@ from benchmarks.wire_workloads import (
     run_wire_workload,
 )
 
-#: CI floor for the binary/XML throughput ratio (artefact shows >=2x).
+#: CI floor for the binary/XML throughput ratio (about 2x on a quiet host).
 SPEEDUP_FLOOR = 1.3
 
 

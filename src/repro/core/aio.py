@@ -1,29 +1,30 @@
-"""Asyncio wire front-end: the space server's one TCP front end.
+"""Asyncio wire front end: the space server's one TCP front end.
 
 :class:`AsyncSpaceServer` is the paper's socket wrapper (Sec. 4.2,
 Figure 4): a client that sends no HELLO speaks the historical XML wire
 protocol to it unchanged.  It sits on a
 :class:`~repro.core.server.SpaceServer` — the space engine stays
-single-threaded, the loop multiplexes connections around it:
+single-threaded, the loop multiplexes connections around it.  Each
+connection is an :class:`asyncio.BufferedProtocol` served from the
+transport's callbacks, with no task of its own:
 
-* **single-writer send path per connection** — responses, notify events
-  and timer-driven timeouts all append to one per-connection outbox
-  drained by one writer task, so frames never interleave;
-* **backpressure** — a connection whose outbox passes the high-water
-  mark stops having its requests read until the writer drains below the
-  resume mark (TCP pushes back on the client); a consumer so slow the
-  hard cap is passed is closed and counted, never buffered unboundedly;
-* **request pipelining/batching** — every frame completed by one socket
-  read is dispatched back-to-back before the next read, and the outbox
-  is flushed once per batch;
+* **one write per read** — every frame completed by one socket read is
+  dispatched back-to-back, and the replies it produced leave in one
+  ``transport.write``; a reply sent outside a read (a timer-driven
+  timeout, a notify event caused by another connection) is written at
+  once.  Frames never interleave because each write is whole frames;
+* **backpressure** — the transport's write-buffer limits pause reading
+  a connection above the high-water mark and resume it below the
+  resume mark (TCP pushes back on the client); a consumer so slow its
+  buffer passes the hard cap is closed and counted, never buffered
+  without bound;
 * **codec negotiation** — the HELLO/HELLO_ACK exchange of
   :mod:`repro.core.protocol` switches a connection from XML to the
-  binary body codec; clients that never send HELLO speak the historical
-  XML protocol unchanged;
-* **graceful shutdown and a health/stats endpoint** — ``stop()`` parks
-  no request forever (waiters are reaped through ``session_closed``),
-  and a tiny HTTP listener answers ``/health`` and ``/stats`` for
-  supervisors, modelled on gateway-daemon layouts.
+  binary body codec;
+* **graceful shutdown** — ``stop()`` parks no request forever (waiters
+  are reaped through ``session_closed``) and gives every connection
+  ``drain_grace`` seconds to flush; the in-band ``STATS`` message
+  reports the front end's counters.
 
 Timer callbacks run on the loop via :class:`LoopTimers`, so — like the
 simulated stack — *everything* touching the space runs on one thread
@@ -33,7 +34,6 @@ and no locks are needed.  See docs/wire.md for the full protocol story.
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Any, Callable, Optional
 
 from repro.core.errors import (
@@ -54,11 +54,14 @@ from repro.core.protocol import (
 from repro.core.server import SpaceServer, Timers
 from repro.core.xmlcodec import XmlCodec
 
-#: Outbox byte thresholds: pause reading a connection above ``HIGH_WATER``,
-#: resume below ``RESUME``, close a slow consumer above ``LIMIT``.
+#: Write-buffer byte thresholds: pause reading a connection above
+#: ``HIGH_WATER``, resume below ``RESUME``, close a slow consumer above
+#: ``LIMIT``.
 HIGH_WATER = 64 * 1024
 RESUME = 16 * 1024
 LIMIT = 4 * 1024 * 1024
+#: Largest single socket read (asyncio's own ``recv`` size).
+RECEIVE_BYTES = 256 * 1024
 
 
 class LoopTimers(Timers):
@@ -76,108 +79,108 @@ class LoopTimers(Timers):
         return self._loop.call_later(delay, fn)
 
 
-class _AsyncConnection:
-    """One client connection: parser, outbox, reader + writer tasks.
+class _AsyncConnection(asyncio.BufferedProtocol):
+    """One client connection, served from its transport's callbacks.
 
-    Duck-typed over ``(reader, writer)`` so the same machinery serves
-    real TCP streams and the in-loop :func:`memory_pipe` endpoints the
-    concurrency benchmark multiplexes by the thousands.
+    Reads land in the front end's one receive buffer (``get_buffer``)
+    and are fed to the parser before the callback returns, so no read
+    allocates a fresh 256 KiB ``bytes`` as ``sock.recv`` does.
 
     This object is also the *session* handed to ``SpaceServer.handle``:
-    ``send`` encodes with the connection's negotiated codec and appends
-    to the outbox.
+    ``send`` encodes with the connection's negotiated codec and either
+    joins the replies of the read being served or, outside a read, is
+    written at once.
     """
 
-    def __init__(self, front, reader, writer):
+    def __init__(self, front: "AsyncSpaceServer"):
         self.front = front
-        self.reader = reader
-        self.writer = writer
         self.registry: XmlCodec = front.server.codec
         self.wire = make_wire_codec("xml", self.registry)
         self.parser = StreamParser(self.registry)
-        self._outbox = bytearray()
-        self._loop = front._loop
-        self._send_waiter: Optional[asyncio.Future] = None
-        self._resume_waiter: Optional[asyncio.Future] = None
-        self._eof = False
+        self.transport: Optional[asyncio.Transport] = None
+        #: Replies of the read being served; ``None`` between reads.
+        self._replies: Optional[list] = None
         self._closed = False
-        self._writer_task: Optional[asyncio.Task] = None
-        self._reader_task: Optional[asyncio.Task] = None
 
     # -- session protocol (called by SpaceServer and timer callbacks) -------
 
     def send(self, message: Message) -> None:
         if self._closed:
             return
-        self.enqueue(encode_message(message, self.wire))
+        data = encode_message(message, self.wire)
+        if self._replies is not None:
+            self._replies.append(data)
+        else:
+            self._write(data)
 
-    def enqueue(self, data: bytes) -> None:
-        self._outbox += data
-        if len(self._outbox) > self.front.limit_bytes:
-            # Slow consumer: notify events kept arriving while the peer
+    def _write(self, data: bytes) -> None:
+        transport = self.transport
+        transport.write(data)
+        front = self.front
+        front.bytes_out += len(data)
+        if transport.get_write_buffer_size() > front.limit_bytes:
+            # Slow consumer: replies kept arriving while the peer
             # stopped draining.  Dropping the connection bounds memory;
-            # buffering forever would not.
-            self.front.slow_consumer_closes += 1
+            # buffering forever would not, and neither would a flush.
+            front.slow_consumer_closes += 1
             self._begin_close()
-            return
-        waiter = self._send_waiter
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
+            transport.abort()
 
-    # -- tasks ---------------------------------------------------------------
+    # -- transport callbacks -------------------------------------------------
 
-    async def run(self) -> None:
-        """Read/dispatch until EOF or close, then flush and tear down."""
-        self._writer_task = self._loop.create_task(self._write_loop())
-        self._reader_task = self._loop.create_task(self._read_loop())
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        transport.set_write_buffer_limits(
+            self.front.high_water, self.front.resume_bytes
+        )
+        self.front._connection_made(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.front._receive_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        front = self.front
+        front.bytes_in += nbytes
+        error = None
         try:
-            # _begin_close (shutdown, slow-consumer cap) cancels the
-            # reader task, so a read parked on an idle socket never
-            # wedges teardown.
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        finally:
+            messages = self.parser.feed(front._receive_buffer[:nbytes])
+        except ProtocolError as exc:
+            # The frames ahead of the malformed one are served first;
+            # then ERROR when a request id is recoverable, and close.
+            messages, error = exc.messages, exc
+        self._replies = replies = []
+        for message in messages:
+            self._dispatch(message)
+        if error is not None:
+            front.protocol_errors += 1
+            request_id = self.parser.error_request_id
+            if request_id is not None:
+                self.send(Message(
+                    MessageType.ERROR, request_id, {"text": str(error)}
+                ))
+        self._replies = None
+        if replies:
+            self._write(b"".join(replies))
+        if error is not None:
             self._begin_close()
-            try:
-                await asyncio.wait_for(
-                    self._writer_task, self.front.drain_grace
-                )
-            except (asyncio.TimeoutError, asyncio.CancelledError, OSError):
-                self._writer_task.cancel()
-            self.front._connection_done(self)
 
-    async def _read_loop(self) -> None:
-        while not self._eof:
-            try:
-                data = await self.reader.read(65536)
-            except (OSError, ConnectionError, asyncio.IncompleteReadError):
-                return
-            if not data:
-                return
-            self.front.bytes_in += len(data)
-            try:
-                messages = self.parser.feed(data)
-            except ProtocolError as exc:
-                # A malformed frame answers ERROR when a request id is
-                # recoverable, then the connection closes cleanly.
-                self.front.protocol_errors += 1
-                request_id = self.parser.error_request_id
-                if request_id is not None:
-                    self.send(Message(
-                        MessageType.ERROR, request_id, {"text": str(exc)}
-                    ))
-                return
-            for message in messages:
-                self._dispatch(message)
-                if self._eof:
-                    return
-            if len(self._outbox) > self.front.high_water:
-                # Backpressure: stop reading this connection's requests
-                # until the writer drains its responses.
-                self.front.backpressure_pauses += 1
-                self._resume_waiter = self._loop.create_future()
-                await self._resume_waiter
+    def eof_received(self) -> None:
+        self._begin_close()
+
+    def pause_writing(self) -> None:
+        # Backpressure: stop reading this connection's requests until
+        # the transport drains its replies below the resume mark.
+        self.front.backpressure_pauses += 1
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._begin_close()
+        self.front._connection_lost(self)
+
+    # -- dispatch and teardown -------------------------------------------
 
     def _dispatch(self, message: Message) -> None:
         self.front.requests += 1
@@ -200,48 +203,16 @@ class _AsyncConnection:
             return
         self.front.server.handle(self, message)
 
-    async def _write_loop(self) -> None:
-        writer = self.writer
-        try:
-            while True:
-                if not self._outbox:
-                    if self._eof:
-                        return
-                    self._send_waiter = self._loop.create_future()
-                    await self._send_waiter
-                    continue
-                chunk = bytes(self._outbox)
-                del self._outbox[: len(chunk)]
-                writer.write(chunk)
-                await writer.drain()
-                self.front.bytes_out += len(chunk)
-                resume = self._resume_waiter
-                if (
-                    resume is not None
-                    and not resume.done()
-                    and len(self._outbox) <= self.front.resume_bytes
-                ):
-                    resume.set_result(None)
-        except (OSError, ConnectionError):
-            return
-
-    # -- teardown ------------------------------------------------------------
-
     def _begin_close(self) -> None:
-        """Stop reading, let the writer flush what is queued, then die."""
+        """Stop serving: reap parked waiters once, then close the
+        transport, which flushes what is buffered before it is lost."""
         if self._closed:
             return
         self._closed = True
-        self._eof = True
-        for waiter in (self._send_waiter, self._resume_waiter):
-            if waiter is not None and not waiter.done():
-                waiter.set_result(None)
-        reader_task = self._reader_task
-        if reader_task is not None and not reader_task.done():
-            reader_task.cancel()
         # Reap parked blocking requests: a dead connection's TAKE must
         # never consume a tuple into the void.
         self.front.server.session_closed(self)
+        self.transport.close()
 
 
 class AsyncSpaceServer:
@@ -253,10 +224,6 @@ class AsyncSpaceServer:
         await front.start()
         ...                       # front.address is the bound (host, port)
         await front.stop()
-
-    ``health_port`` additionally binds a minimal HTTP listener answering
-    ``GET /health`` and ``GET /stats`` with JSON, so a supervisor can
-    probe the daemon without speaking the space protocol.
     """
 
     def __init__(
@@ -264,7 +231,6 @@ class AsyncSpaceServer:
         server: SpaceServer,
         host: str = "127.0.0.1",
         port: int = 0,
-        health_port: Optional[int] = None,
         high_water: int = HIGH_WATER,
         resume_bytes: int = RESUME,
         limit_bytes: int = LIMIT,
@@ -273,20 +239,21 @@ class AsyncSpaceServer:
         self.server = server
         self.host = host
         self.port = port
-        self.health_port = health_port
         self.high_water = high_water
         self.resume_bytes = resume_bytes
         self.limit_bytes = limit_bytes
         self.drain_grace = drain_grace
         self.address = None
-        self.health_address = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._listener: Optional[asyncio.AbstractServer] = None
-        self._health_listener: Optional[asyncio.AbstractServer] = None
-        self._connections: dict[int, _AsyncConnection] = {}
-        self._conn_tasks: dict[int, asyncio.Task] = {}
+        self._connections: set[_AsyncConnection] = set()
+        #: Shared by every connection: the loop serves one read at a
+        #: time and the parser copies what it keeps.
+        self._receive_buffer = memoryview(bytearray(RECEIVE_BYTES))
+        #: Resolved by the last ``connection_lost`` while ``stop()`` waits.
+        self._all_lost: Optional[asyncio.Future] = None
         self._stopping = False
-        # -- counters surfaced by /stats and the STATS message
+        # -- counters surfaced by the STATS message
         self.connections_total = 0
         self.requests = 0
         self.protocol_errors = 0
@@ -303,32 +270,29 @@ class AsyncSpaceServer:
         # All dispatch and every timeout callback runs on this loop —
         # the single-threaded-engine invariant, without locks.
         self.server.timers = LoopTimers(self._loop)
-        self._listener = await asyncio.start_server(
-            self._client_connected, self.host, self.port
+        self._listener = await self._loop.create_server(
+            lambda: _AsyncConnection(self), self.host, self.port
         )
         self.address = self._listener.sockets[0].getsockname()
-        if self.health_port is not None:
-            self._health_listener = await asyncio.start_server(
-                self._health_connected, self.host, self.health_port
-            )
-            self.health_address = self._health_listener.sockets[0].getsockname()
         return self
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, flush and close every
-        connection (reaping its parked waiters), release the ports."""
+        connection (reaping its parked waiters), release the port."""
         self._stopping = True
-        for listener in (self._listener, self._health_listener):
-            if listener is not None:
-                listener.close()
-        for conn in list(self._connections.values()):
+        if self._listener is not None:
+            self._listener.close()
+        for conn in list(self._connections):
             conn._begin_close()
-        tasks = list(self._conn_tasks.values())
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        for listener in (self._listener, self._health_listener):
-            if listener is not None:
-                await listener.wait_closed()
+        if self._connections:
+            self._all_lost = self._loop.create_future()
+            deadline = self._loop.call_later(
+                self.drain_grace, self._abort_connections
+            )
+            await self._all_lost
+            deadline.cancel()
+        if self._listener is not None:
+            await self._listener.wait_closed()
 
     async def __aenter__(self) -> "AsyncSpaceServer":
         return await self.start()
@@ -338,47 +302,30 @@ class AsyncSpaceServer:
 
     # -- connections ---------------------------------------------------------
 
-    def _client_connected(self, reader, writer) -> None:
-        if self._stopping:
-            writer.close()
-            return
-        self._track(_AsyncConnection(self, reader, writer))
-
-    def open_local(self):
-        """In-loop loopback connect: no socket, no file descriptor.
-
-        Returns a ``(reader, writer)`` pair speaking to a fresh server
-        connection — what the 10k-client concurrency benchmark uses to
-        go beyond the process fd limit.  Must run inside the loop that
-        :meth:`start` ran on (or pass the pair to
-        :class:`AsyncSpaceClient` in the same loop).
-        """
-        client_reader, server_writer = memory_pipe(self._loop)
-        server_reader, client_writer = memory_pipe(self._loop)
-        self._track(_AsyncConnection(self, server_reader, server_writer))
-        return client_reader, client_writer
-
-    def _track(self, conn: _AsyncConnection) -> None:
+    def _connection_made(self, conn: _AsyncConnection) -> None:
         self.connections_total += 1
-        self._connections[id(conn)] = conn
-        self._conn_tasks[id(conn)] = self._loop.create_task(conn.run())
+        self._connections.add(conn)
+        if self._stopping:
+            conn._begin_close()
 
-    def _connection_done(self, conn: _AsyncConnection) -> None:
-        self._connections.pop(id(conn), None)
-        self._conn_tasks.pop(id(conn), None)
-        try:
-            conn.writer.close()
-        except (OSError, RuntimeError):
-            pass
+    def _abort_connections(self) -> None:
+        """The drain grace ran out: peers that never drained lose what
+        is still buffered."""
+        for conn in list(self._connections):
+            conn.transport.abort()
+
+    def _connection_lost(self, conn: _AsyncConnection) -> None:
+        self._connections.discard(conn)
+        waiter = self._all_lost
+        if waiter is not None and not self._connections and not waiter.done():
+            waiter.set_result(None)
 
     @property
     def connections_open(self) -> int:
         return len(self._connections)
 
-    # -- stats / health ------------------------------------------------------
-
     def stats(self) -> dict:
-        """Flat scalar counters (STATS message params / ``/stats`` JSON)."""
+        """Flat scalar counters (the STATS message's params)."""
         return {
             "connections_open": self.connections_open,
             "connections_total": self.connections_total,
@@ -394,37 +341,6 @@ class AsyncSpaceServer:
             "negotiated_binary": self.negotiated.get("binary", 0),
             "negotiated_xml": self.negotiated.get("xml", 0),
         }
-
-    async def _health_connected(self, reader, writer) -> None:
-        try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1", "replace").split()
-            path = parts[1] if len(parts) > 1 else "/"
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            if path == "/health":
-                status, payload = "200 OK", {"status": "ok"}
-            elif path == "/stats":
-                status, payload = "200 OK", self.stats()
-            else:
-                status, payload = "404 Not Found", {"error": "not found"}
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            writer.write(
-                f"HTTP/1.1 {status}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n".encode("latin-1") + body
-            )
-            await writer.drain()
-        except (OSError, ConnectionError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except (OSError, RuntimeError):
-                pass
 
 
 class AsyncSpaceClient:
@@ -676,81 +592,8 @@ class AsyncSpaceClient:
             )
 
 
-# -- in-loop byte pipes ------------------------------------------------------
-
-
-class _MemoryReader:
-    """Reader half of :func:`memory_pipe` (``await read(n)``)."""
-
-    def __init__(self, loop: asyncio.AbstractEventLoop):
-        self._loop = loop
-        self._buffer = bytearray()
-        self._eof = False
-        self._waiter: Optional[asyncio.Future] = None
-
-    def _feed(self, data: bytes) -> None:
-        self._buffer += data
-        waiter = self._waiter
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
-
-    def _feed_eof(self) -> None:
-        self._eof = True
-        waiter = self._waiter
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
-
-    async def read(self, max_bytes: int = 65536) -> bytes:
-        while not self._buffer:
-            if self._eof:
-                return b""
-            self._waiter = self._loop.create_future()
-            await self._waiter
-        chunk = bytes(self._buffer[:max_bytes])
-        del self._buffer[: len(chunk)]
-        return chunk
-
-
-class _MemoryWriter:
-    """Writer half: quacks like ``asyncio.StreamWriter`` where needed."""
-
-    def __init__(self, peer: _MemoryReader):
-        self._peer = peer
-        self._closed = False
-
-    def write(self, data: bytes) -> None:
-        if self._closed:
-            raise ConnectionClosedError("memory pipe closed")
-        self._peer._feed(data)
-
-    async def drain(self) -> None:
-        return None
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._peer._feed_eof()
-
-    async def wait_closed(self) -> None:
-        return None
-
-    def is_closing(self) -> bool:
-        return self._closed
-
-
-def memory_pipe(loop: asyncio.AbstractEventLoop):
-    """One-directional in-loop byte pipe: ``(reader, writer)``.
-
-    No socket, no fd — which is what lets the concurrency benchmark run
-    10k+ simulated client connections in one process.
-    """
-    reader = _MemoryReader(loop)
-    return reader, _MemoryWriter(reader)
-
-
 __all__ = [
     "AsyncSpaceServer",
     "AsyncSpaceClient",
     "LoopTimers",
-    "memory_pipe",
 ]

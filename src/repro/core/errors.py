@@ -24,6 +24,10 @@ class TransactionError(SpaceError):
 class ProtocolError(SpaceError):
     """Malformed wire-protocol message or XML entry encoding."""
 
+    #: Well-formed frames parsed ahead of the bad one in the same
+    #: ``StreamParser.feed`` call (set by the parser).
+    messages: tuple = ()
+
 
 class ConnectionClosedError(SpaceError, ConnectionError):
     """The transport closed mid-request (also a ``ConnectionError``)."""

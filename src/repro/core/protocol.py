@@ -245,14 +245,24 @@ class StreamParser:
         self.codec = as_wire_codec(codec)
 
     def feed(self, data: bytes) -> list[Message]:
-        """Append bytes; return every message completed by them."""
+        """Append bytes; return every message completed by them.
+
+        A malformed frame raises :class:`ProtocolError` carrying, in its
+        ``messages``, the frames this call completed before it: a reader
+        serves those first, so its replies do not depend on where TCP
+        split the stream.
+        """
         self._buffer.extend(data)
         messages = []
-        while True:
-            message = self._try_parse_one()
-            if message is None:
-                return messages
-            messages.append(message)
+        try:
+            while True:
+                message = self._try_parse_one()
+                if message is None:
+                    return messages
+                messages.append(message)
+        except ProtocolError as exc:
+            exc.messages = messages
+            raise
 
     def _try_parse_one(self) -> Optional[Message]:
         if len(self._buffer) < HEADER.size:

@@ -199,18 +199,33 @@ class CallResolver:
             self._cha = cha
         return self._cha
 
-    def _cha_lookup(self, method: str) -> list[str]:
+    def _cha_lookup(self, method: str, awaited: bool = False) -> list[str]:
         if method.startswith(_CHA_EXCLUDED_PREFIX) or method in _CHA_BUILTIN_TAILS:
             return []
         candidates = self._cha_index().get(method, [])
+        if awaited:
+            # An awaited call returns an awaitable: of the same-named
+            # methods, only the coroutines fit (``await reader.read()``
+            # is no call of a synchronous ``SpaceClient.read``).
+            candidates = [node for node in candidates if self._is_async(node)]
         if not candidates or len(candidates) > self.cha_cap:
             return []
         return list(candidates)
 
+    def _is_async(self, node: str) -> bool:
+        module, qualname = split_node(node)
+        return bool(self.functions_of(module).get(qualname, {}).get("is_async"))
+
     # -- the entry point -----------------------------------------------------
 
-    def resolve(self, module: str, qualname: str, name: str) -> list[str]:
-        """Project nodes one raw dotted call/reference may invoke."""
+    def resolve(
+        self, module: str, qualname: str, name: str, awaited: bool = False
+    ) -> list[str]:
+        """Project nodes one raw dotted call/reference may invoke.
+
+        ``awaited`` marks a call that is only ever the operand of
+        ``await``; it narrows the hierarchy fallback to coroutines.
+        """
         summary = self.index.summaries.get(module)
         if summary is None:
             return []
@@ -226,7 +241,7 @@ class CallResolver:
                 # The receiver class is known: an unresolved method is
                 # out of model, not a hierarchy-fallback candidate.
                 return [target] if target is not None else []
-            return self._cha_lookup(parts[-1])
+            return self._cha_lookup(parts[-1], awaited)
 
         if len(parts) == 1:
             nested = f"{qualname}.{name}"
@@ -265,7 +280,7 @@ class CallResolver:
                 target = self.resolve_method(resolved[0], resolved[1]["name"], tail)
                 if target is not None:
                     return [target]
-            return self._cha_lookup(tail)
+            return self._cha_lookup(tail, awaited)
 
         # a.b.c...: module-qualified class methods, else the fallback.
         alias = self.index.module_alias(module, parts[0])
@@ -274,7 +289,7 @@ class CallResolver:
             if alias_summary is not None and parts[1] in alias_summary.classes:
                 target = self.resolve_method(alias, parts[1], parts[2])
                 return [target] if target is not None else []
-        return self._cha_lookup(parts[-1])
+        return self._cha_lookup(parts[-1], awaited)
 
 
 def build_call_graph(index, *, cha_cap: int = 8) -> CallGraph:
@@ -291,8 +306,11 @@ def build_call_graph(index, *, cha_cap: int = 8) -> CallGraph:
             rec = functions[qualname]
             edges: list[tuple[str, int]] = []
             seen: set[str] = set()
+            awaited = set(rec.get("awaited", ()))
             for name, line in rec.get("calls", []):
-                for callee in resolver.resolve(module, qualname, name):
+                for callee in resolver.resolve(
+                    module, qualname, name, name in awaited
+                ):
                     if callee != caller and callee not in seen:
                         seen.add(callee)
                         edges.append((callee, line))

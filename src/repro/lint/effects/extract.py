@@ -13,6 +13,7 @@ Shape (keys omitted when empty)::
         "line": 10, "is_async": true, "annotation": "pure",
         "effects":   {kind: [{"line", "what"}, ...]},
         "calls":     [[dotted, line], ...],     # raw names, for the graph
+        "awaited":   [dotted, ...],             # calls only ever awaited
         "scheduled": [[dotted, line], ...],     # fn args of call_at/after
         "self_writes": [[line, attr], ...]}}}   # non-birth self mutation
 
@@ -201,6 +202,8 @@ class _FunctionEffects:
                 self.globals_decl.update(node.names)
         self.effects: dict[str, list[dict]] = {}
         self.calls: dict[str, int] = {}
+        #: raw call names seen outside an ``await``.
+        self.unawaited_calls: set[str] = set()
         self.scheduled: list[list] = []
         self.self_writes: list[list] = []
         self.sets = _SetTracker(func)
@@ -249,6 +252,9 @@ class _FunctionEffects:
             record["calls"] = sorted(
                 [[name, line] for name, line in self.calls.items()]
             )
+            awaited = sorted(set(self.calls) - self.unawaited_calls)
+            if awaited:
+                record["awaited"] = awaited
         if self.scheduled:
             record["scheduled"] = sorted(self.scheduled)
         if self.self_writes:
@@ -268,6 +274,8 @@ class _FunctionEffects:
             return
         if raw not in self.calls:
             self.calls[raw] = call.lineno
+        if id(call) not in self.awaited:
+            self.unawaited_calls.add(raw)
         name = _normalize(raw, self.mod_aliases, self.from_names)
         argc = len(call.args)
         for kind, what in classify_call(name, argc):

@@ -83,7 +83,9 @@ class EffectIndex:
     ):
         self._index = index
         #: node -> {kind: cause}; cause is ``{"t": "seed", "line", "what"}``
-        #: or ``{"t": "call", "callee", "line"}``.
+        #: or ``{"t": "call", "callee", "line"}``.  A seed cause also
+        #: holds ``"via": {"callee", "line"}`` when a call brings the same
+        #: kind in.
         self.effects = effects
         #: node -> [[callee, line], ...] for callees that mutate their
         #: own instance state (the obs read-only rule's raw material).
@@ -170,9 +172,15 @@ def _propagate(
                     if callee in barrier:
                         continue
                     for kind in seeds.get(callee, {}):
-                        if kind not in mine:
+                        cause = mine.get(kind)
+                        if cause is None:
                             mine[kind] = {"t": "call", "callee": callee, "line": line}
                             changed = True
+                        elif cause["t"] == "seed" and "via" not in cause:
+                            # A local seed is the cause, but keep the first
+                            # call edge that brings the same kind in too, so
+                            # a rule can report both.  Nothing propagates it.
+                            cause["via"] = {"callee": callee, "line": line}
             # Only intra-component edges can still move anything; a
             # singleton without a self-loop converges in one pass.
             if len(members) == 1:

@@ -314,15 +314,25 @@ class AsyncUnsafeCallRule(_EffectRule):
                         f"blocking call {site['what']} inside async def "
                         f"{_node_qual(node)}; it stalls the event loop",
                     )
-            elif blocking is not None:
+                # A direct block must not hide one through a callee.
+                blocking = blocking.get("via")
+            if blocking is not None:
+                callee = blocking["callee"]
+                head = [[
+                    blocking["line"],
+                    f"calls {_node_qual(callee)}()",
+                    effects.path_of(node),
+                ]]
                 yield self.finding_at(
                     effects.path_of(node),
                     blocking["line"],
                     f"async def {_node_qual(node)} calls "
-                    f"{_node_qual(blocking['callee'])}(), which blocks "
-                    f"(via {self._seed_what(effects, node, BLOCKING)}); "
+                    f"{_node_qual(callee)}(), which blocks "
+                    f"(via {self._seed_what(effects, callee, BLOCKING)}); "
                     "it stalls the event loop",
-                    code_flow=self._witness_flow(effects, node, BLOCKING),
+                    code_flow=self._witness_flow(
+                        effects, callee, BLOCKING, head=head
+                    ),
                 )
             spawn = node_effects.get(THREAD_SPAWN)
             if spawn is not None:

@@ -32,7 +32,9 @@ from repro.lint.project.graph import ModuleGraph
 # project-digest effects tier; version-2 entries must be recomputed.
 # 4: ModuleSummary dropped the `flow` concurrency-fact field; version-3
 # summaries carry it and would not deserialise.
-CACHE_VERSION = 4
+# 5: a seed cause in the effects tier may carry the `via` call edge;
+# version-4 effect blobs lack it and must be re-inferred.
+CACHE_VERSION = 5
 
 
 def content_hash(data: bytes) -> str:

@@ -11,12 +11,8 @@ from repro.core import (
     TupleTemplate,
     XmlCodec,
 )
-from repro.core.aio import (
-    AsyncSpaceClient,
-    AsyncSpaceServer,
-    _AsyncConnection,
-    memory_pipe,
-)
+from repro.core import aio
+from repro.core.aio import AsyncSpaceClient, AsyncSpaceServer
 from repro.core.errors import (
     ConnectionClosedError,
     RequestTimeoutError,
@@ -218,12 +214,13 @@ class TestPipelining:
 
 
 class TestLocalPairs:
-    def test_open_local_needs_no_socket(self):
+    def test_loopback_client_negotiates_binary(self):
         async def scenario():
             front, codec, _space = await make_front()
             try:
-                reader, writer = front.open_local()
-                client = AsyncSpaceClient(reader, writer, codec, request_timeout=2.0)
+                client = await AsyncSpaceClient.connect(
+                    front.address, codec, codecs=None, request_timeout=2.0
+                )
                 assert await client.negotiate() == "binary"
                 await client.write(LindaTuple("x", 1))
                 assert await client.take_if_exists(TupleTemplate("x", 1))
@@ -238,11 +235,9 @@ class TestLocalPairs:
             front, codec, space = await make_front()
             try:
                 async def one(n):
-                    reader, writer = front.open_local()
-                    client = AsyncSpaceClient(
-                        reader, writer, codec, request_timeout=5.0
+                    client = await AsyncSpaceClient.connect(
+                        front.address, codec, request_timeout=5.0
                     )
-                    await client.negotiate()
                     await client.write(LindaTuple("n", n))
                     got = await client.take(TupleTemplate("n", n), timeout=5)
                     await client.close()
@@ -251,6 +246,7 @@ class TestLocalPairs:
                 results = await asyncio.gather(*(one(n) for n in range(200)))
                 assert all(results)
                 assert len(space) == 0
+                assert front.negotiated["binary"] == 200
             finally:
                 await front.stop()
 
@@ -300,70 +296,65 @@ class TestMalformedFrames:
         run(scenario())
 
 
-class _ScriptedReader:
-    """Feeds scripted chunks, then EOF."""
+async def read_replies(reader, codec, count):
+    """Read and parse frames from a raw stream until ``count`` arrived."""
+    parser = StreamParser(codec)
+    replies = []
+    while len(replies) < count:
+        data = await asyncio.wait_for(reader.read(1 << 20), 5.0)
+        assert data, f"closed after {len(replies)} of {count} replies"
+        replies.extend(parser.feed(data))
+    return replies
 
-    def __init__(self, chunks):
-        self._chunks = list(chunks)
 
-    async def read(self, max_bytes=65536):
-        if self._chunks:
-            return self._chunks.pop(0)
-        return b""
-
-
-class _GatedWriter:
-    """Collects writes; ``drain`` blocks until the gate opens."""
-
-    def __init__(self):
-        self.chunks = []
-        self.gate = None
-        self.closed = False
-
-    def write(self, data):
-        self.chunks.append(bytes(data))
-
-    async def drain(self):
-        if self.gate is not None:
-            await self.gate
-
-    def close(self):
-        self.closed = True
-
-    async def wait_closed(self):
-        return None
+async def wait_until(predicate, seconds=5.0):
+    for _ in range(int(seconds / 0.01)):
+        if predicate():
+            return True
+        await asyncio.sleep(0.01)
+    return predicate()
 
 
 class TestBackpressure:
     def test_reader_pauses_until_writer_drains(self):
         async def scenario():
-            front, codec, _space = await make_front(
-                high_water=8, resume_bytes=0, drain_grace=1.0
-            )
+            # 40 replies of 512 KiB each stay under the slow-consumer cap.
+            front, codec, _space = await make_front(limit_bytes=64 << 20)
             try:
-                loop = asyncio.get_running_loop()
-                pings = b"".join(
-                    encode_message(Message(MessageType.PING, n), codec)
-                    for n in range(1, 4)
+                reader, writer = await asyncio.open_connection(*front.address)
+                big = Part("big", "x" * (512 * 1024))
+                frames = [encode_message(
+                    Message(MessageType.WRITE, 1, {}, big), codec
+                )]
+                frames += [
+                    encode_message(Message(
+                        MessageType.READ_IF_EXISTS, n, {}, Part(serial="big")
+                    ), codec)
+                    for n in range(2, 42)
+                ]
+                writer.write(b"".join(frames))
+                await writer.drain()
+                # The client reads nothing: about 20 MiB of replies pile
+                # up past high_water and the server stops reading it.
+                assert await wait_until(lambda: front.requests == 41)
+                assert await wait_until(lambda: front.backpressure_pauses >= 1)
+                writer.write(encode_message(Message(MessageType.PING, 42), codec))
+                await writer.drain()
+                await asyncio.sleep(0.05)
+                assert front.requests == 41  # the PING sits unread
+                # The client reads: the server drains, resumes reading,
+                # and every reply arrives in request order.
+                replies = await read_replies(reader, codec, 42)
+                assert [r.request_id for r in replies] == list(range(1, 43))
+                assert replies[0].msg_type is MessageType.WRITE_ACK
+                assert all(
+                    r.msg_type is MessageType.RESULT_ENTRY and r.item == big
+                    for r in replies[1:41]
                 )
-                reader = _ScriptedReader([pings, pings])
-                writer = _GatedWriter()
-                writer.gate = loop.create_future()
-                conn = _AsyncConnection(front, reader, writer)
-                front._track(conn)
-                await asyncio.sleep(0.05)
-                # Three PONGs (33 bytes) sit undrained: over high_water,
-                # so the reader must be parked, second chunk unread.
-                assert front.backpressure_pauses == 1
-                assert front.requests == 3
-                # Open the gate: writer drains, reader resumes, chunk 2
-                # dispatches, EOF closes the connection.
-                writer.gate.set_result(None)
-                await asyncio.sleep(0.05)
-                assert front.requests == 6
-                assert front.connections_open == 0
-                flushed = b"".join(writer.chunks)
-                assert flushed.count(bytes([int(MessageType.PONG)])) >= 6
+                assert replies[41].msg_type is MessageType.PONG
+                assert front.requests == 42
+                assert front.slow_consumer_closes == 0
+                writer.close()
             finally:
                 await front.stop()
 
@@ -371,30 +362,107 @@ class TestBackpressure:
 
     def test_slow_consumer_is_closed(self):
         async def scenario():
-            front, codec, _space = await make_front(
-                high_water=8, resume_bytes=0, limit_bytes=24, drain_grace=0.05
-            )
+            front, codec, _space = await make_front(limit_bytes=256 * 1024)
             try:
-                loop = asyncio.get_running_loop()
-                pings = b"".join(
-                    encode_message(Message(MessageType.PING, n), codec)
-                    for n in range(1, 5)
+                slow = await AsyncSpaceClient.connect(
+                    front.address, codec, request_timeout=2.0
                 )
-                reader = _ScriptedReader([pings])
-                writer = _GatedWriter()
-                writer.gate = loop.create_future()  # never opened
-                conn = _AsyncConnection(front, reader, writer)
-                front._track(conn)
-                await asyncio.sleep(0.3)
-                # Four 11-byte PONGs exceed the 24-byte hard cap with the
-                # writer wedged: the connection must be closed, not
-                # buffered without bound.
+                fast = await AsyncSpaceClient.connect(
+                    front.address, codec, request_timeout=2.0
+                )
+                await slow.notify(Part(station="drill"), lambda event: None)
+                slow.writer.transport.pause_reading()  # never reads again
+                # Each matching write sends the slow client a 64 KiB
+                # event; once the kernel's socket buffers are full they
+                # pile up in the server until the hard cap closes it.
+                payload = "x" * (64 * 1024)
+                for n in range(500):
+                    await fast.write(Part(f"sn-{n}", "drill", payload))
+                    await fast.take_if_exists(Part(serial=f"sn-{n}"))
+                    if front.slow_consumer_closes:
+                        break
                 assert front.slow_consumer_closes >= 1
-                assert front.connections_open == 0
+                await fast.close()
+                assert await wait_until(lambda: front.connections_open == 0)
+                await slow.close()
             finally:
                 await front.stop()
 
         run(scenario())
+
+
+class TestTracePoints:
+    """The serving benchmark's per-layer trace wraps the module-global
+    ``encode_message`` and ``StreamParser.feed``: every reply must be
+    encoded through the one, and every read must cost exactly one call
+    of the other, or the ``protocol`` layer silently reads empty."""
+
+    def test_one_encode_per_reply_and_one_feed_per_read(self, monkeypatch):
+        encodes = []
+        feeds = []
+        writes = []
+        per_read = []  # (feed calls, transport writes) of each read
+
+        original_encode = aio.encode_message
+        original_feed = StreamParser.feed
+        original_read = aio._AsyncConnection.buffer_updated
+        original_write = aio._AsyncConnection._write
+
+        def counted_encode(message, wire):
+            encodes.append(message.request_id)
+            return original_encode(message, wire)
+
+        def counted_feed(parser, data):
+            feeds.append(parser)
+            return original_feed(parser, data)
+
+        def counted_write(conn, data):
+            writes.append(conn)
+            return original_write(conn, data)
+
+        def counted_read(conn, nbytes):
+            feeds_before, writes_before = len(feeds), len(writes)
+            original_read(conn, nbytes)
+            per_read.append(
+                (len(feeds) - feeds_before, len(writes) - writes_before)
+            )
+
+        monkeypatch.setattr(aio, "encode_message", counted_encode)
+        monkeypatch.setattr(StreamParser, "feed", counted_feed)
+        monkeypatch.setattr(aio._AsyncConnection, "buffer_updated", counted_read)
+        monkeypatch.setattr(aio._AsyncConnection, "_write", counted_write)
+
+        async def scenario():
+            front, codec, _space = await make_front()
+            try:
+                reader, writer = await asyncio.open_connection(*front.address)
+                requests = []
+                for n in range(1, 31, 3):
+                    requests += [
+                        Message(MessageType.WRITE, n, {}, Part(f"sn-{n}")),
+                        Message(MessageType.READ_IF_EXISTS, n + 1, {},
+                                Part(serial=f"sn-{n}")),
+                        Message(MessageType.PING, n + 2),
+                    ]
+                # ``encode_message`` here is the protocol module's own,
+                # so the client's encodes are not counted.
+                writer.write(b"".join(
+                    encode_message(request, codec) for request in requests
+                ))
+                await writer.drain()
+                replies = await read_replies(reader, codec, len(requests))
+                assert [r.request_id for r in replies] == list(range(1, 31))
+                writer.close()
+            finally:
+                await front.stop()
+            return replies
+
+        replies = run(scenario())
+        assert sorted(encodes) == [r.request_id for r in replies]
+        assert per_read and all(
+            feed_calls == 1 and write_calls <= 1
+            for feed_calls, write_calls in per_read
+        )
 
 
 class TestShutdownAndStats:
@@ -417,6 +485,33 @@ class TestShutdownAndStats:
 
         run(scenario())
 
+    def test_stop_aborts_a_peer_that_never_drains(self):
+        async def scenario():
+            front, codec, _space = await make_front(
+                limit_bytes=64 << 20, drain_grace=0.1
+            )
+            reader, writer = await asyncio.open_connection(*front.address)
+            big = Part("big", "x" * (512 * 1024))
+            writer.write(b"".join(
+                [encode_message(Message(MessageType.WRITE, 1, {}, big), codec)]
+                + [
+                    encode_message(Message(
+                        MessageType.READ_IF_EXISTS, n, {}, Part(serial="big")
+                    ), codec)
+                    for n in range(2, 42)
+                ]
+            ))
+            await writer.drain()
+            assert await wait_until(lambda: front.backpressure_pauses >= 1)
+            # The peer never reads: about 20 MiB of replies are more than
+            # the socket buffers hold, the flush cannot finish, so stop()
+            # aborts the connection once drain_grace has passed.
+            await asyncio.wait_for(front.stop(), 5.0)
+            assert front.connections_open == 0
+            writer.close()
+
+        run(scenario())
+
     def test_stats_message(self):
         async def scenario():
             front, codec, _space = await make_front()
@@ -433,63 +528,5 @@ class TestShutdownAndStats:
                 await client.close()
             finally:
                 await front.stop()
-
-        run(scenario())
-
-    def test_health_endpoint(self):
-        async def scenario():
-            front, codec, _space = await make_front(health_port=0)
-            try:
-                async def http_get(path):
-                    reader, writer = await asyncio.open_connection(
-                        *front.health_address
-                    )
-                    writer.write(
-                        f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode()
-                    )
-                    await writer.drain()
-                    raw = await asyncio.wait_for(reader.read(65536), 2.0)
-                    writer.close()
-                    return raw
-
-                health = await http_get("/health")
-                assert health.startswith(b"HTTP/1.1 200")
-                assert b'"status": "ok"' in health
-                stats = await http_get("/stats")
-                assert b"connections_total" in stats
-                missing = await http_get("/nope")
-                assert missing.startswith(b"HTTP/1.1 404")
-            finally:
-                await front.stop()
-
-        run(scenario())
-
-
-class TestMemoryPipe:
-    def test_pipe_carries_chunks_in_order(self):
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            reader, writer = memory_pipe(loop)
-            writer.write(b"ab")
-            writer.write(b"cd")
-            assert await reader.read(3) == b"abc"
-            assert await reader.read(10) == b"d"
-            writer.close()
-            assert await reader.read(10) == b""
-
-        run(scenario())
-
-    def test_reader_wakes_on_late_write(self):
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            reader, writer = memory_pipe(loop)
-
-            async def later():
-                await asyncio.sleep(0.01)
-                writer.write(b"x")
-
-            task = loop.create_task(later())
-            assert await asyncio.wait_for(reader.read(1), 1.0) == b"x"
-            await task
 
         run(scenario())

@@ -1,4 +1,4 @@
-"""Regression tests for the five wire-path correctness bugs.
+"""Regression tests for the wire-path correctness bugs.
 
 Each test failed before its fix:
 
@@ -14,7 +14,10 @@ Each test failed before its fix:
    on socket connections when no event was pending;
 5. ``_next_request_id`` grew unbounded and died in ``struct.pack('>I')``
    at 2**32, and the stale-response check misclassified everything
-   straddling the wrap.
+   straddling the wrap;
+6. valid frames that shared one socket read with a malformed frame
+   were dropped: ``StreamParser.feed`` raised and lost the frames it
+   had completed, so the replies depended on how TCP split the stream.
 """
 
 import socket
@@ -118,6 +121,47 @@ class TestMalformedFrameAnswersError:
             assert client.ping()
         finally:
             connection.close()
+
+
+class TestFramesAheadOfABadFrame:
+    """Bug 6: the replies must not depend on how the stream was split."""
+
+    @staticmethod
+    def _ping_then_garbage(codec):
+        body = b"<not-xml"
+        return encode_message(Message(MessageType.PING, 7), codec) + (
+            HEADER.pack(MAGIC, int(MessageType.WRITE), 55, len(body)) + body
+        )
+
+    def test_parser_error_carries_the_frames_before_it(self):
+        codec = make_codec()
+        parser = StreamParser(codec)
+        with pytest.raises(ProtocolError) as caught:
+            parser.feed(self._ping_then_garbage(codec))
+        assert [(m.msg_type, m.request_id) for m in caught.value.messages] == [
+            (MessageType.PING, 7)
+        ]
+        assert parser.error_request_id == 55
+
+    def test_one_read_answers_pong_then_error(self, tcp_server):
+        server, codec, _space = tcp_server
+        sock = socket.create_connection(server.address)
+        try:
+            sock.settimeout(2.0)
+            sock.sendall(self._ping_then_garbage(codec))
+            parser = StreamParser(codec)
+            replies = []
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                replies.extend(parser.feed(data))
+        finally:
+            sock.close()
+        assert [(r.msg_type, r.request_id) for r in replies] == [
+            (MessageType.PONG, 7),
+            (MessageType.ERROR, 55),
+        ]
 
 
 class TestNamelessDictField:

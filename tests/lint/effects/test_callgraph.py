@@ -204,6 +204,41 @@ def test_cha_fallback_skips_dunders_builtin_tails_and_the_cap(tmp_path):
     assert edges_of(graph, "repro.net.impls:fan") == set()
 
 
+def test_cha_fallback_for_an_awaited_call_keeps_only_coroutines(tmp_path):
+    index = index_for(
+        tmp_path,
+        {
+            "src/repro/net/__init__.py": "",
+            "src/repro/net/impls.py": """\
+                class Client:
+                    def fetch(self):
+                        pass
+
+                class Pipe:
+                    async def fetch(self):
+                        pass
+
+                async def pump(reader):
+                    await reader.fetch()
+
+                def poll(reader):
+                    reader.fetch()
+
+                async def mixed(reader):
+                    await reader.fetch()
+                    reader.fetch()
+                """,
+        },
+    )
+    graph = build_call_graph(index)
+    both = {"repro.net.impls:Client.fetch", "repro.net.impls:Pipe.fetch"}
+    # Only a coroutine can be what an ``await`` called; a name also
+    # called without ``await`` keeps every candidate.
+    assert edges_of(graph, "repro.net.impls:pump") == {"repro.net.impls:Pipe.fetch"}
+    assert edges_of(graph, "repro.net.impls:poll") == both
+    assert edges_of(graph, "repro.net.impls:mixed") == both
+
+
 def test_scheduled_targets_become_entry_records_not_edges(tmp_path):
     index = index_for(
         tmp_path,

@@ -374,6 +374,31 @@ def test_async_direct_blocking_is_flagged(tmp_path):
     }
 
 
+def test_async_direct_blocking_does_not_hide_a_transitive_one(tmp_path):
+    findings, _s, _st = run(
+        tmp_path,
+        {
+            "src/repro/net/aio.py": """\
+                import time
+
+                def pump(sock):
+                    return sock.recv(1024)
+
+                async def tick(sock):
+                    time.sleep(0.1)
+                    return pump(sock)
+                """,
+        },
+        ["async-unsafe-call"],
+    )
+    assert sorted((f.line, f.message) for f in findings) == [
+        (7, "blocking call time.sleep() inside async def tick; "
+            "it stalls the event loop"),
+        (8, "async def tick calls pump(), which blocks "
+            "(via sock.recv()); it stalls the event loop"),
+    ]
+
+
 def test_async_blocking_direct_call_fires(tmp_path):
     write_project(
         tmp_path,
